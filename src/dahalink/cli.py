@@ -51,7 +51,6 @@ from .daha import (
     build_module,
     derived_elements,
     eigenvalue_ladder,
-    is_feasible,
     link_check,
     link_construct,
     restricted_leonard_pairs,
@@ -221,7 +220,7 @@ def cmd_extract(args: argparse.Namespace, started: float) -> int:
     if not report.ok:
         return _finish("extract", {"error": "module verification failed"},
                        report.checks, started, args.out, EXIT_VALIDATION)
-    feasible, feas_report = is_feasible(module)
+    feasible, feas_report = module.feasibility
     if not feasible:
         payload = {"error": "module is not feasible",
                    "failed": feas_report.failures()}
@@ -251,7 +250,7 @@ def cmd_link(args: argparse.Namespace, started: float) -> int:
     checks = [Check("linked", True)]
     if args.construct:
         lc = link_construct(h, h2, q, args.sign)
-        (_, got_plus), (_, got_minus) = restricted_leonard_pairs(lc.module)
+        got_plus, got_minus = lc.plus, lc.minus
         payload["module"] = lc.module.to_json()
         payload["case_used"] = lc.case.to_json()
         payload["exchanged"] = lc.exchanged
@@ -328,7 +327,7 @@ def run_suite(seed: int, max_n: int) -> list[Check]:
                     k0 = params.k[0]
                     derived_elements(module, with_projectors=k0 != k0.inv())
                     built += 1
-                    ok, _ = is_feasible(module)
+                    ok, _ = module.feasibility
                     if not ok:
                         continue
                     feasible += 1

@@ -44,6 +44,7 @@ from .exactfield import (
 )
 from .exactlinalg import (
     ExactMatrix,
+    SingularMatrixError,
     Subspace,
     Vector,
     change_of_basis,
@@ -52,6 +53,7 @@ from .exactlinalg import (
     is_lower_tridiagonal,
     is_upper_bidiagonal,
     is_upper_tridiagonal,
+    rank,
     restrict_to_basis,
 )
 from .leonard import (
@@ -124,7 +126,7 @@ def _lift(e: FieldElement, ctx: FieldContext) -> FieldElement:
     return FieldElement(ctx, e.rat)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class HqParams:
     """q, the dimension offset n (module dimension n+1), and k0..k3."""
 
@@ -467,21 +469,27 @@ class HqModule:
         t, ti = self.t, self.t_inv
         return tuple(t[i] - t[i - 1] * t[i] * ti[i - 1] for i in range(4))
 
+    def _t0_projector(self, keep: FieldElement, drop: FieldElement) -> ExactMatrix:
+        """(t0 - drop) / (keep - drop), the projection onto V(keep) along V(drop)."""
+        if keep == drop:
+            raise ValueError("t0-eigenprojections need k0 distinct from its inverse")
+        ident = ExactMatrix.identity(self.ctx, self.dim)
+        return (self.t[0] - ident.scale(drop)).scale((keep - drop).inv())
+
     @cached_property
     def F_plus(self) -> ExactMatrix:
         k0 = self.params.k[0]
-        if k0 == k0.inv():
-            raise ValueError("t0-eigenprojections need k0 distinct from its inverse")
-        ident = ExactMatrix.identity(self.ctx, self.dim)
-        return (self.t[0] - ident.scale(k0.inv())).scale((k0 - k0.inv()).inv())
+        return self._t0_projector(k0, k0.inv())
 
     @cached_property
     def F_minus(self) -> ExactMatrix:
         k0 = self.params.k[0]
-        if k0 == k0.inv():
-            raise ValueError("t0-eigenprojections need k0 distinct from its inverse")
-        ident = ExactMatrix.identity(self.ctx, self.dim)
-        return (self.t[0] - ident.scale(k0)).scale((k0.inv() - k0).inv())
+        return self._t0_projector(k0.inv(), k0)
+
+    @cached_property
+    def feasibility(self) -> tuple[bool, "Report"]:
+        """:func:`is_feasible` of this module, evaluated once."""
+        return is_feasible(self)
 
     def descriptor(self) -> dict:
         return {"xtype": self.xtype.value, "n": self.params.n,
@@ -579,7 +587,7 @@ def verify_hq_relations(m: HqModule) -> Report:
 
     def record(name: str, actual: ExactMatrix, expected: ExactMatrix) -> None:
         res = actual - expected
-        checks.append(Check(name, res == zero, None if res == zero else res))
+        checks.append(Check(name, True) if res == zero else Check(name, False, res))
 
     for i in range(4):
         record(f"t{i}-inverse-right", m.t[i] * m.t_inv[i], ident)
@@ -719,7 +727,9 @@ def is_feasible(m: HqModule) -> tuple[bool, Report]:
     n = m.params.n
     q = m.params.q
     k0, k1, k2, k3 = m.params.k
-    xd = all(eigenspace(m.X, mu).dim == 1 for mu in m.mu)
+    ident = ExactMatrix.identity(m.ctx, n + 1)
+    eig_dim = lambda mat, mu: n + 1 - rank(mat - ident.scale(mu))   # no basis needed
+    xd = all(eig_dim(m.X, mu) == 1 for mu in m.mu)
     checks.append(Check("X-diagonalizable-simple-spectrum", xd))
     # route (a): the forbidden-membership table
     line = _q_powers(q, range(-n, 0))
@@ -728,15 +738,15 @@ def is_feasible(m: HqModule) -> tuple[bool, Report]:
     # route (b): predicted spectrum with eigenspace dimensions
     yvals = _y_diagonal(m)
     distinct = len(set(yvals)) == n + 1
-    direct_ok = distinct and all(eigenspace(m.Y, v).dim == 1 for v in set(yvals))
+    direct_ok = distinct and all(eig_dim(m.Y, v) == 1 for v in set(yvals))
     if table_ok != direct_ok:
         raise VerificationError(
             "Y-diagonalizability checks disagree (table vs direct)")
     checks.append(Check("Y-diagonalizable-simple-spectrum", direct_ok))
     two = k0 != k0.inv()
     if two:
-        dplus = eigenspace(m.t[0], k0).dim
-        dminus = eigenspace(m.t[0], k0.inv()).dim
+        dplus = eig_dim(m.t[0], k0)
+        dminus = eig_dim(m.t[0], k0.inv())
         if dplus + dminus != n + 1:
             raise VerificationError("t0-eigenspace dimensions do not fill the module")
         two = dplus > 0 and dminus > 0
@@ -818,14 +828,14 @@ def u_basis(m: HqModule) -> UBasis:
         raise VerificationError("the flattening recursion does not terminate")
     cols = vecs[:n + 1]
     p = ExactMatrix.from_cols(ctx, [list(v) for v in cols])
-    Subspace(ctx, n + 1, cols)            # independence check
-    yrep = change_of_basis(m.Y, p)
-    if not (is_lower_tridiagonal(yrep)
-            and is_lower_tridiagonal(change_of_basis(m.Y_inv, p))
-            and is_lower_tridiagonal(change_of_basis(m.A, p))):
+    try:
+        reps = change_of_basis((m.Y, m.Y_inv, m.A), p)
+    except SingularMatrixError:
+        raise VerificationError("the flattening vectors are linearly dependent") from None
+    if not all(is_lower_tridiagonal(r) for r in reps):
         raise VerificationError("Y, Y^{-1}, A are not lower tridiagonal in the u-basis")
     for r, val in enumerate(_y_diagonal(m)):
-        if yrep.rows[r][r] != val:
+        if reps[0].rows[r][r] != val:
             raise VerificationError("Y-diagonal does not match the predicted spectrum")
     e = _e_scalars(m)
     scaled = []
@@ -836,9 +846,7 @@ def u_basis(m: HqModule) -> UBasis:
             raise VerificationError("a normalization scalar vanished")
         scaled.append([acc * x for x in cols[r]])
     ps = ExactMatrix.from_cols(ctx, scaled)
-    if not (is_upper_tridiagonal(change_of_basis(m.X, ps))
-            and is_upper_tridiagonal(change_of_basis(m.X_inv, ps))
-            and is_upper_tridiagonal(change_of_basis(m.B, ps))):
+    if not all(is_upper_tridiagonal(r) for r in change_of_basis((m.X, m.X_inv, m.B), ps)):
         raise VerificationError("X, X^{-1}, B are not upper tridiagonal after rescaling")
     return UBasis(p, tuple(beta), tuple(e), ps)
 
@@ -848,7 +856,7 @@ def t0_split(m: HqModule) -> tuple[list[Vector], list[Vector]]:
     obtained by projecting the type-specific subsets of the rescaled
     flattening basis.  Dimensions are asserted against the expected
     (d+1, d'+1)."""
-    feasible, report = is_feasible(m)
+    feasible, report = m.feasibility
     if not feasible:
         raise ValueError("t0-split needs a feasible module: "
                          + ", ".join(report.failures()))
@@ -981,8 +989,7 @@ def restricted_leonard_pairs(
     results = []
     for plus, basis in ((True, plus_basis), (False, minus_basis)):
         d = len(basis) - 1
-        a_res = restrict_to_basis(m.A, basis)
-        b_res = restrict_to_basis(m.B, basis)
+        a_res, b_res = restrict_to_basis((m.A, m.B), basis)
         theta, theta_star = _restricted_diagonals(m, plus, d)
         if not is_lower_bidiagonal(a_res):
             raise VerificationError("restricted A is not lower bidiagonal")
@@ -1070,7 +1077,7 @@ def _recognize_module(t: Sequence[ExactMatrix], q: FieldElement,
     if eigenvalue_ladder(xtype, n, k, q) != mu:
         raise VerificationError("twisted ladder does not match the ladder formula")
     basis = ExactMatrix.from_cols(ctx, [list(vecs[i]) for i in order])
-    new_t = tuple(change_of_basis(ti, basis) for ti in t)
+    new_t = tuple(change_of_basis(t, basis))
     module = HqModule(HqParams(q, n, k), xtype, new_t, mu)
     report = verify_hq_relations(module)
     if not report.ok:
@@ -1111,7 +1118,7 @@ def twist(m: HqModule, which: str) -> HqModule:
     are verified as matrix equalities, and the twisted generators are
     reassembled into a module with its own ladder and parameters.
     """
-    feasible, report = is_feasible(m)
+    feasible, report = m.feasibility
     if not feasible:
         raise ValueError("twisting needs a feasible module: "
                          + ", ".join(report.failures()))
@@ -1198,9 +1205,15 @@ class LinkCase:
 
 @dataclass(frozen=True)
 class LinkConstruction:
+    """A synthesized module, its witnessing case, and the Huang data of its
+    restricted pairs on V(k0) and V(k0^{-1}) as checked by the construction
+    (when ``exchanged``, ``plus`` realizes the second input)."""
+
     module: HqModule
     case: LinkCase
     exchanged: bool
+    plus: HuangData
+    minus: HuangData
 
 
 def _variants(h: HuangData) -> list[tuple[tuple[int, int, int],
@@ -1294,7 +1307,7 @@ def link_construct(h: HuangData, h2: HuangData, q: FieldElement,
         if not swapped:
             raise VerificationError("exchange symmetry failed to produce a witness")
         inner = link_construct(h2, h, q, sign)
-        return LinkConstruction(inner.module, chosen, True)
+        return LinkConstruction(inner.module, chosen, True, inner.plus, inner.minus)
     case = chosen.case_id
     side1 = dict(zip("abc", _apply_variant(h, chosen.variant)))
     side2 = dict(zip("abc", _apply_variant(h2, chosen.variant2)))
@@ -1336,14 +1349,14 @@ def link_construct(h: HuangData, h2: HuangData, q: FieldElement,
         raise VerificationError(
             f"synthesized parameters are invalid: {', '.join(bad)}")
     module = build_module(xtype, n, k, qq)
-    feasible, report = is_feasible(module)
+    feasible, report = module.feasibility
     if not feasible:
         raise VerificationError("synthesized module is not feasible: "
                                 + ", ".join(report.failures()))
     (_, got_plus), (_, got_minus) = restricted_leonard_pairs(module)
     if not huang_equivalent(got_plus, h) or not huang_equivalent(got_minus, h2):
         raise VerificationError("synthesized module does not realize the inputs")
-    return LinkConstruction(module, chosen, False)
+    return LinkConstruction(module, chosen, False, got_plus, got_minus)
 
 
 def _apply_variant(h: HuangData,

@@ -31,10 +31,6 @@ __all__ = [
     "FieldElement",
     "ContextMismatchError",
     "ExtensionRequiredError",
-    "add",
-    "sub",
-    "mul",
-    "inv",
     "int_pow",
     "sqrt_in_field",
     "sqrt_element",
@@ -125,12 +121,6 @@ def _frac_str(f: Fraction) -> str:
     return f"{f.numerator}/{f.denominator}" if f.denominator != 1 else str(f.numerator)
 
 
-def _parse_frac(s: Union[str, int]) -> Fraction:
-    if isinstance(s, int):
-        return Fraction(s)
-    return Fraction(s)
-
-
 @dataclass(frozen=True)
 class FieldContext:
     """The field Q(sqrt(disc)); ``disc = 1`` is plain Q.
@@ -152,30 +142,26 @@ class FieldContext:
     # -- element factories -------------------------------------------------
 
     def element(self, rat: Union[Fraction, int, str], irr: Union[Fraction, int, str] = 0) -> FieldElement:
-        return FieldElement(self, _parse_frac(rat) if isinstance(rat, (int, str)) else rat,
-                            _parse_frac(irr) if isinstance(irr, (int, str)) else irr)
+        return FieldElement(self, rat, irr)
 
     def rational(self, p: int, q: int = 1) -> FieldElement:
-        return FieldElement(self, Fraction(p, q), Fraction(0))
+        return FieldElement(self, Fraction(p, q))
 
     def from_fraction(self, f: Fraction) -> FieldElement:
-        return FieldElement(self, f, Fraction(0))
+        return FieldElement(self, f)
 
     def zero(self) -> FieldElement:
-        return FieldElement(self, Fraction(0), Fraction(0))
+        return FieldElement(self, _ZERO)
 
     def one(self) -> FieldElement:
-        return FieldElement(self, Fraction(1), Fraction(0))
-
-    def sqrt_disc(self) -> FieldElement:
-        """The element sqrt(disc) itself (requires disc != 1)."""
-        if self.disc == 1:
-            return self.one()
-        return FieldElement(self, Fraction(0), Fraction(1))
+        return FieldElement(self, Fraction(1))
 
 
 #: The plain rational field, shared default context.
 QQ = FieldContext(1)
+
+#: The irrational part of every element over Q, shared rather than one Fraction each.
+_ZERO = Fraction(0)
 
 
 class FieldElement:
@@ -188,13 +174,15 @@ class FieldElement:
 
     __slots__ = ("ctx", "rat", "irr")
 
-    def __init__(self, ctx: FieldContext, rat: Fraction, irr: Fraction = Fraction(0)) -> None:
+    def __init__(self, ctx: FieldContext, rat: Fraction, irr: Fraction = _ZERO) -> None:
         if not isinstance(rat, Fraction):
             rat = Fraction(rat)
         if not isinstance(irr, Fraction):
             irr = Fraction(irr)
-        if ctx.disc == 1 and irr != 0:
-            raise ValueError("irrational part must vanish over Q (disc = 1)")
+        if ctx.disc == 1:
+            if irr != 0:
+                raise ValueError("irrational part must vanish over Q (disc = 1)")
+            irr = _ZERO
         object.__setattr__(self, "ctx", ctx)
         object.__setattr__(self, "rat", rat)
         object.__setattr__(self, "irr", irr)
@@ -308,10 +296,6 @@ class FieldElement:
 
     # -- predicates & canonical forms ---------------------------------------
 
-    @property
-    def is_rational(self) -> bool:
-        return self.irr == 0
-
     def __bool__(self) -> bool:
         return self.rat != 0 or self.irr != 0
 
@@ -351,11 +335,11 @@ class FieldElement:
         ``ctx`` (default Q).
         """
         if isinstance(data, (int, str)):
-            return FieldElement(ctx or QQ, _parse_frac(data))
+            return FieldElement(ctx or QQ, Fraction(data))
         if isinstance(data, dict):
             disc = int(data.get("disc", 1))
-            rat = _parse_frac(data.get("rat", 0))
-            irr = _parse_frac(data.get("irr", 0))
+            rat = Fraction(data.get("rat", 0))
+            irr = Fraction(data.get("irr", 0))
             if irr == 0 and ctx is not None:
                 return FieldElement(ctx, rat)
             target = ctx if (ctx is not None and ctx.disc == disc) else FieldContext(disc)
@@ -364,24 +348,8 @@ class FieldElement:
 
 
 # ---------------------------------------------------------------------------
-# Operations (thin functional forms of the methods above)
+# Operations
 # ---------------------------------------------------------------------------
-
-
-def add(x: FieldElement, y: FieldElement) -> FieldElement:
-    return x + y
-
-
-def sub(x: FieldElement, y: FieldElement) -> FieldElement:
-    return x - y
-
-
-def mul(x: FieldElement, y: FieldElement) -> FieldElement:
-    return x * y
-
-
-def inv(x: FieldElement) -> FieldElement:
-    return x.inv()
 
 
 def int_pow(x: Coercible, e: int) -> FieldElement:

@@ -9,7 +9,7 @@ normalization beyond reduced column echelon form for subspaces.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence, Union
 
 from .exactfield import FieldContext, FieldElement, QQ
 
@@ -184,24 +184,11 @@ class ExactMatrix:
         return t
 
     def inverse(self) -> "ExactMatrix":
-        """Gauss-Jordan inverse with the first nonzero pivot in each column."""
+        """Gauss-Jordan inverse: one elimination of ``[M | I]``."""
         if not self.is_square:
             raise SingularMatrixError("only square matrices invert")
-        n = self.nrows
-        work = [list(row) + list(ident_row) for row, ident_row
-                in zip(self.rows, ExactMatrix.identity(self.ctx, n).rows)]
-        for col in range(n):
-            piv = next((r for r in range(col, n) if work[r][col]), None)
-            if piv is None:
-                raise SingularMatrixError("matrix is singular")
-            work[col], work[piv] = work[piv], work[col]
-            inv_p = work[col][col].inv()
-            work[col] = [inv_p * x for x in work[col]]
-            for r in range(n):
-                if r != col and work[r][col]:
-                    f = work[r][col]
-                    work[r] = [a - f * b for a, b in zip(work[r], work[col])]
-        return ExactMatrix(self.ctx, [row[n:] for row in work])
+        return _reduce_against(self, [ExactMatrix.identity(self.ctx, self.nrows)],
+                               SingularMatrixError("matrix is singular"))[0]
 
     # -- comparison / io -----------------------------------------------------------
 
@@ -265,7 +252,8 @@ def _short(e: FieldElement) -> str:
 
 
 def _row_reduce(rows: list[list[FieldElement]]) -> tuple[list[list[FieldElement]], list[int]]:
-    """In-place RREF with first-nonzero pivots; returns (rows, pivot_cols)."""
+    """In-place RREF (row lists are updated, too) with first-nonzero pivots;
+    returns (rows, pivot_cols)."""
     if not rows:
         return rows, []
     nrows, ncols = len(rows), len(rows[0])
@@ -277,16 +265,40 @@ def _row_reduce(rows: list[list[FieldElement]]) -> tuple[list[list[FieldElement]
             continue
         rows[r], rows[piv] = rows[piv], rows[r]
         inv_p = rows[r][c].inv()
-        rows[r] = [inv_p * x for x in rows[r]]
+        rows[r] = [inv_p * x if x else x for x in rows[r]]
+        # Only the pivot row's nonzero entries change the other rows.
+        nz = [(j, b) for j, b in enumerate(rows[r]) if b]
         for i in range(nrows):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+            f = rows[i][c]
+            if i != r and f:
+                row = rows[i]
+                for j, b in nz:
+                    row[j] = row[j] - f * b
         pivots.append(c)
         r += 1
         if r == nrows:
             break
     return rows, pivots
+
+
+def _reduce_against(left: ExactMatrix, blocks: Sequence[ExactMatrix],
+                    dependent: Exception) -> Optional[list[ExactMatrix]]:
+    """The solutions ``X_j`` of ``left X_j = blocks[j]``, all from one
+    elimination of ``[left | blocks[0] | blocks[1] | ...]``.  Raises
+    ``dependent`` when the columns of ``left`` are linearly dependent;
+    returns None when some block column leaves their span."""
+    k = left.ncols
+    red, pivots = _row_reduce([list(row) + [x for blk in blocks for x in blk.rows[i]]
+                               for i, row in enumerate(left.rows)])
+    if pivots[:k] != list(range(k)):
+        raise dependent
+    if len(pivots) > k:
+        return None
+    out, start = [], k
+    for blk in blocks:
+        out.append(ExactMatrix(left.ctx, [row[start:start + blk.ncols] for row in red[:k]]))
+        start += blk.ncols
+    return out
 
 
 def rank(m: ExactMatrix) -> int:
@@ -298,18 +310,13 @@ def solve(m: ExactMatrix, b: Sequence[FieldElement]) -> Optional[Vector]:
     """One solution of ``M x = b`` (free variables set to zero), or None."""
     if len(b) != m.nrows:
         raise ValueError("rhs length mismatch")
-    aug = [list(row) + [bb] for row, bb in zip(m.rows, b)]
-    red, pivots = _row_reduce(aug)
+    red, pivots = _row_reduce([list(row) + [bb] for row, bb in zip(m.rows, b)])
     n = m.ncols
-    for i, row in enumerate(red):
-        if not any(row[:n]) and row[n]:
-            return None
+    if n in pivots:               # a row 0 = 1: inconsistent
+        return None
     x = [m.ctx.zero()] * n
     for i, c in enumerate(pivots):
-        if c < n:
-            x[c] = red[i][n]
-        elif red[i][n]:
-            return None
+        x[c] = red[i][n]
     return tuple(x)
 
 
@@ -409,29 +416,40 @@ class Subspace:
 # ---------------------------------------------------------------------------
 
 
-def change_of_basis(m: ExactMatrix, p: ExactMatrix) -> ExactMatrix:
+def change_of_basis(m: Union[ExactMatrix, Sequence[ExactMatrix]],
+                    p: ExactMatrix) -> Union[ExactMatrix, list[ExactMatrix]]:
     """The matrix of the same operator in the basis given by the columns of
-    ``P``: returns ``P^{-1} M P``."""
-    return p.inverse() * m * p
+    ``P``: returns ``P^{-1} M P``; for a sequence of operators, the list of
+    their matrices in that basis.  No inverse is formed: one elimination of
+    ``[P | M_1 P | ... | M_k P]`` yields every ``P^{-1} M_j P`` at once.
+    Raises :class:`SingularMatrixError` when ``P`` is singular.
+    """
+    if not p.is_square:
+        raise SingularMatrixError("only square matrices invert")
+    ops = [m] if isinstance(m, ExactMatrix) else m
+    out = _reduce_against(p, [op * p for op in ops], SingularMatrixError("matrix is singular"))
+    return out[0] if isinstance(m, ExactMatrix) else out
 
 
-def restrict_to_basis(m: ExactMatrix, vectors: Sequence[Sequence[FieldElement]]) -> ExactMatrix:
+def restrict_to_basis(m: Union[ExactMatrix, Sequence[ExactMatrix]],
+                      vectors: Sequence[Sequence[FieldElement]]
+                      ) -> Union[ExactMatrix, list[ExactMatrix]]:
     """The matrix of ``M`` restricted to the span of ``vectors``, in exactly
-    that (ordered) basis.  Raises :class:`NotInvariantError` if any image
-    leaves the span."""
+    that (ordered) basis; for a sequence of operators, the list of their
+    restrictions.  With ``B`` holding the vectors as columns, one elimination
+    of ``[B | M v_1 ... M v_k]`` checks independence (``ValueError`` if the
+    vectors are dependent) and invariance (:class:`NotInvariantError` if an
+    image leaves the span) and yields the coordinates of every image.
+    """
     if not vectors:
         raise ValueError("empty basis")
-    ctx = m.ctx
-    Subspace(ctx, m.ncols, vectors)          # validates independence
-    # Solve B y = M v_j where B has the basis vectors as columns.
-    bmat = ExactMatrix.from_cols(ctx, vectors)
-    cols = []
-    for v in vectors:
-        y = solve(bmat, m.apply(v))
-        if y is None:
-            raise NotInvariantError("subspace is not invariant under the operator")
-        cols.append(y)
-    return ExactMatrix.from_cols(ctx, cols)
+    ops = [m] if isinstance(m, ExactMatrix) else m
+    b = ExactMatrix.from_cols(ops[0].ctx, vectors)
+    out = _reduce_against(b, [op * b for op in ops],
+                          ValueError("basis vectors are linearly dependent"))
+    if out is None:
+        raise NotInvariantError("subspace is not invariant under the operator")
+    return out[0] if isinstance(m, ExactMatrix) else out
 
 
 def restrict(m: ExactMatrix, w: Subspace) -> ExactMatrix:

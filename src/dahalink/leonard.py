@@ -50,6 +50,7 @@ from .exactlinalg import (
     is_irreducible_tridiagonal,
     is_lower_bidiagonal,
     is_upper_bidiagonal,
+    rank,
 )
 
 __all__ = [
@@ -405,9 +406,10 @@ def _distinct_eigenvalues(m: ExactMatrix,
         evs = sorted(set(roots), key=lambda e: e.canonical_str())
         if len(evs) != n:
             return None
-    for mu in evs:
-        if eigenspace(m, mu).dim != 1:
-            return None
+    ident = ExactMatrix.identity(m.ctx, n)
+    # the eigenspace of mu has dimension n - rank(M - mu I): no basis is built
+    if any(n - rank(m - ident.scale(mu)) != 1 for mu in evs):
+        return None
     return evs
 
 
@@ -450,14 +452,13 @@ def _ordering_via_eigenbasis(m: ExactMatrix, diag: ExactMatrix,
         if es.dim != 1:
             return None
         vecs.append(list(es.basis[0]))
-    p = ExactMatrix.from_cols(m.ctx, vecs)
-    rep = change_of_basis(m, p)
+    rep = change_of_basis(m, ExactMatrix.from_cols(m.ctx, vecs))
     order = _support_path_order(rep)
     if order is None:
         return None
-    perm = ExactMatrix.from_cols(m.ctx, [[m.ctx.one() if i == o else m.ctx.zero()
-                                          for i in range(len(evs))] for o in order])
-    if not is_irreducible_tridiagonal(change_of_basis(rep, perm)):
+    # reordering the eigenbasis permutes rows and columns alike
+    permuted = ExactMatrix(rep.ctx, [[rep.rows[i][j] for j in order] for i in order])
+    if not is_irreducible_tridiagonal(permuted):
         return None
     return [evs[i] for i in order]
 
@@ -558,8 +559,7 @@ def split_sequence(
         phi.append(f)
     # exact shape check in the split basis
     p = ExactMatrix.from_cols(ctx, [list(v) for v in vecs])
-    rep_a = change_of_basis(A, p)
-    rep_s = change_of_basis(S, p)
+    rep_a, rep_s = change_of_basis((A, S), p)
     ok = is_lower_bidiagonal(rep_a) and is_upper_bidiagonal(rep_s)
     ok = ok and all(rep_a.rows[r][r] == theta_order[r] for r in range(n))
     ok = ok and all(rep_a.rows[r + 1][r] == 1 for r in range(d))

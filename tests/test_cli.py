@@ -149,6 +149,61 @@ def test_link_construct_flag(capsys, tmp_path):
                for c in rep["checks"])
 
 
+def _in_q210(rat):
+    return {"rat": rat, "irr": "0", "disc": 210}
+
+
+# Extracted Huang data of the case-ii module over Q(sqrt 210) realizing
+# (3, 5, 7; d=2) on V(k0) and (6, 10, 14; d=1) on V(k0^{-1}).
+_Q210_EXTRACTED = {
+    "huang_plus": {"a": _in_q210("3"), "b": _in_q210("5"), "c": _in_q210("7"), "d": 2,
+                   "q": {"rat": "2", "irr": "0", "disc": 1}},
+    "huang_minus": {"a": _in_q210("6"), "b": _in_q210("10"), "c": _in_q210("14"), "d": 1,
+                    "q": {"rat": "2", "irr": "0", "disc": 1}},
+}
+
+
+@pytest.mark.parametrize("order, case, exchanged", [
+    ((0, 1), "ii", False),      # d' = d - 1: case ii, a DS module
+    ((1, 0), "vi", True),       # the same pair reversed: case vi, exchanged
+])
+def test_link_construct_quadratic_field_report(capsys, tmp_path, order, case, exchanged):
+    files = [write_huang(tmp_path, "h1.json", 3, 5, 7, 2),
+             write_huang(tmp_path, "h2.json", 6, 10, 14, 1)]
+    code, rep = run(capsys, "link", *(files[i] for i in order), "--construct")
+    assert code == 0
+    assert rep["case_used"] == {"case": case, "variant": [1, 1, 1], "variant2": [1, 1, 1]}
+    assert rep["exchanged"] is exchanged
+    assert rep["module"]["xtype"] == "DS" and rep["module"]["n"] == 4
+    assert rep["module"]["k"][0] == {"rat": "0", "irr": "-1/2", "disc": 210}
+    assert rep["extracted"] == _Q210_EXTRACTED
+    assert rep["checks"] == [{"name": "linked", "passed": True},
+                             {"name": "extraction-reproduces-inputs", "passed": True}]
+
+
+def test_feasibility_is_evaluated_once_per_module(capsys, tmp_path, monkeypatch,
+                                                   flagship_descriptor):
+    import dahalink.daha as daha
+
+    calls = []
+    original = daha.is_feasible
+
+    def counting(module):
+        calls.append(module)
+        return original(module)
+
+    monkeypatch.setattr(daha, "is_feasible", counting)
+    h1 = write_huang(tmp_path, "h1.json", 3, 5, 7, 2)
+    h2 = write_huang(tmp_path, "h2.json", 6, 10, 14, 1)
+    for args in ((h1, h2), (h2, h1)):       # direct and exchanged construction
+        calls.clear()
+        code, _ = run(capsys, "link", *args, "--construct")
+        assert code == 0 and len(calls) == 1
+    calls.clear()
+    code, _ = run(capsys, "extract", flagship_descriptor)
+    assert code == 0 and len(calls) == 1
+
+
 def test_link_sign_flag(capsys, tmp_path):
     h1 = write_huang(tmp_path, "h1.json", 30, "1/140", 42, 1)
     h2 = write_huang(tmp_path, "h2.json", 60, "1/70", 84, 0)

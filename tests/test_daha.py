@@ -170,6 +170,27 @@ def test_build_module_relations(idx):
     assert m.X == ExactMatrix.diagonal(m.ctx, m.mu)
 
 
+def test_verify_records_residuals_of_failing_checks_only():
+    m = build(1)
+    report = verify_hq_relations(m)
+    names = [c.name for c in report.checks]
+    assert len(names) == 32 and names[:3] == [
+        "t0-inverse-right", "t0-inverse-left", "t0-quadratic"]
+    assert names[12] == "central-t0-with-t0" and names[-1] == "product-t3t0t1t2"
+    assert all(c.passed and c.residual is None for c in report.checks)
+    # corrupt one entry of t2: the failing checks carry their nonzero residual
+    t2 = [list(row) for row in m.t[2].rows]
+    t2[1][1] = t2[1][1] + 1
+    bad = HqModule(m.params, m.xtype, (m.t[0], m.t[1], ExactMatrix(m.ctx, t2), m.t[3]), m.mu)
+    bad_report = verify_hq_relations(bad)
+    assert [c.name for c in bad_report.checks] == names
+    failed = [c for c in bad_report.checks if not c.passed]
+    assert "t2-quadratic" in bad_report.failures() and "product-t0t1t2t3" in bad_report.failures()
+    zero = ExactMatrix.zeros(m.ctx, m.dim)
+    assert all(c.residual is not None and c.residual != zero for c in failed)
+    assert all(c.residual is None for c in bad_report.checks if c.passed)
+
+
 @pytest.mark.parametrize("idx", range(len(INSTANCES)))
 def test_spectrum_is_simple(idx):
     m = build(idx)
@@ -195,6 +216,21 @@ def test_inverses_are_affine_in_generators():
         ki = m.params.k[i]
         ident = ExactMatrix.identity(m.ctx, m.dim)
         assert m.t_inv[i] == ident.scale(ki + ki.inv()) - m.t[i]
+
+
+def test_t0_projections():
+    m = build(1)
+    k0 = m.params.k[0]
+    ident = ExactMatrix.identity(m.ctx, m.dim)
+    assert m.F_plus == (m.t[0] - ident.scale(k0.inv())).scale((k0 - k0.inv()).inv())
+    assert m.F_minus == (m.t[0] - ident.scale(k0)).scale((k0.inv() - k0).inv())
+    assert m.F_plus + m.F_minus == ident
+    assert m.t[0] * m.F_plus == m.F_plus.scale(k0)
+    for k0 in (R(1), R(-1)):
+        flat = HqModule(HqParams(Q2, 3, (k0,) + m.params.k[1:]), m.xtype, m.t, m.mu)
+        for attr in ("F_plus", "F_minus"):
+            with pytest.raises(ValueError):
+                getattr(flat, attr)
 
 
 def test_module_json_round_trip():
@@ -408,6 +444,8 @@ def test_link_construct_flagship():
     m = lc.module
     assert m.xtype is XType.DDa and m.params.n == 3
     assert [x.rat for x in m.params.k] == [x.rat for x in K((1, 4), 3, 7, 5)]
+    (_, h_p), (_, h_m) = restricted_leonard_pairs(m)
+    assert (lc.plus, lc.minus) == (h_p, h_m)
 
 
 def test_link_construct_exchange_case():
@@ -417,6 +455,8 @@ def test_link_construct_exchange_case():
     (_, h_p), (_, h_m) = restricted_leonard_pairs(lc.module)
     assert huang_equivalent(h_p, HD(3, 5, 7, 2))
     assert huang_equivalent(h_m, HD(3, 5, 7, 0))
+    # the construction carries the Huang data it extracted
+    assert (lc.plus, lc.minus) == (h_p, h_m)
 
 
 def test_link_construct_ds_square_root_signs():

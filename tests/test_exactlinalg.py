@@ -147,6 +147,8 @@ def test_inverse_randomized():
     done = 0
     while done < 20:
         a = rnd_matrix(rng, 4)
+        if done % 2:    # mostly zeros: elimination skips zero entries
+            a = M([[x if rng.random() < 0.4 else 0 for x in row] for row in a.rows])
         try:
             inv = a.inverse()
         except SingularMatrixError:
@@ -242,6 +244,51 @@ def test_change_of_basis():
     assert p * b == a * p
 
 
+def _random_invertible(rng, n, ctx):
+    while True:
+        p = rnd_matrix(rng, n, ctx=ctx)
+        if ctx.disc != 1:
+            p = p + rnd_matrix(rng, n, ctx=ctx).scale(ctx.element(0, 1))
+        if rank(p) == n:
+            return p
+
+
+@pytest.mark.parametrize("disc", [1, 2])
+def test_change_of_basis_matches_inverse_reference(disc):
+    # the reference P^{-1} M P, with the inverse formed explicitly
+    ctx = QQ if disc == 1 else FieldContext(disc)
+    rng = random.Random(17 + disc)
+    for _ in range(15):
+        n = rng.randint(1, 5)
+        p = _random_invertible(rng, n, ctx)
+        m = rnd_matrix(rng, n, ctx=ctx)
+        if disc != 1:
+            m = m - rnd_matrix(rng, n, ctx=ctx).scale(ctx.element(0, 1))
+        b = change_of_basis(m, p)
+        assert b == p.inverse() * m * p
+        assert p * b == m * p
+        assert all(x.ctx == ctx for row in b.rows for x in row)
+
+
+def test_change_of_basis_several_operators_agree_with_one_at_a_time():
+    rng = random.Random(23)
+    for _ in range(10):
+        n = rng.randint(1, 5)
+        p = _random_invertible(rng, n, QQ)
+        ms = [rnd_matrix(rng, n) for _ in range(rng.randint(1, 4))]
+        assert change_of_basis(ms, p) == [change_of_basis(m, p) for m in ms]
+        assert change_of_basis(tuple(ms), p) == [change_of_basis(m, p) for m in ms]
+
+
+def test_change_of_basis_singular_basis_raises():
+    a = M([[1, 2], [3, 4]])
+    for p in (M([[1, 2], [2, 4]]), M([[0, 0], [0, 0]]), M([[1, 0], [0, 1], [0, 0]])):
+        with pytest.raises(SingularMatrixError):
+            change_of_basis(a, p)
+    with pytest.raises(SingularMatrixError):
+        change_of_basis([a, a], M([[1, 1], [1, 1]]))
+
+
 def test_restrict_composition():
     # restriction respects products on a shared invariant subspace
     a = M([[2, 0, 0], [0, 3, 1], [0, 0, 3]])
@@ -256,6 +303,40 @@ def test_restrict_not_invariant():
     a = M([[0, 1], [1, 0]])
     with pytest.raises(NotInvariantError):
         restrict_to_basis(a, [[QQ.rational(1), QQ.rational(0)]])
+
+
+def test_restrict_to_basis_dependent_basis_raises():
+    a = ExactMatrix.identity(QQ, 3)
+    e0 = [QQ.rational(1), QQ.rational(0), QQ.rational(0)]
+    e1 = [QQ.rational(0), QQ.rational(1), QQ.rational(0)]
+    twice = [QQ.rational(2), QQ.rational(0), QQ.rational(0)]
+    for basis in ([e0, twice], [e0, e1, [x + y for x, y in zip(e0, e1)]], [e0, e1, e1, e0]):
+        with pytest.raises(ValueError) as info:
+            restrict_to_basis(a, basis)
+        assert info.type is ValueError          # not NotInvariantError
+    # dependent and not invariant: dependence is reported
+    swap = M([[0, 1, 0], [1, 0, 0], [0, 0, 1]])
+    with pytest.raises(ValueError) as info:
+        restrict_to_basis(swap, [e0, twice])
+    assert info.type is ValueError
+    with pytest.raises(ValueError):
+        restrict_to_basis(a, [])
+
+
+def test_restrict_to_basis_several_operators():
+    a = M([[2, 0, 0], [0, 3, 1], [0, 0, 3]])
+    b = M([[1, 0, 0], [0, 5, 2], [0, 7, 5]])
+    basis = [[QQ.rational(0), QQ.rational(1), QQ.rational(1)],
+             [QQ.rational(0), QQ.rational(2), QQ.rational(-1)]]
+    assert restrict_to_basis([a, b], basis) == [restrict_to_basis(a, basis),
+                                                 restrict_to_basis(b, basis)]
+    # the restriction is the coordinate form: B R = M B
+    bmat = ExactMatrix.from_cols(QQ, basis)
+    for op, res in zip((a, b), restrict_to_basis((a, b), basis)):
+        assert bmat * res == op * bmat
+    # one operator failing invariance fails the whole call
+    with pytest.raises(NotInvariantError):
+        restrict_to_basis([a, M([[0, 1, 0], [1, 0, 0], [0, 0, 1]])], basis)
 
 
 def test_restrict_to_basis_order_matters():
