@@ -294,10 +294,6 @@ def cmd_suite(args: argparse.Namespace, started: float) -> int:
 # The randomized property battery behind `suite`
 # ---------------------------------------------------------------------------
 
-_EXPECTED_CASE = {XType.DDa: "i", XType.DS: "ii", XType.SSa: "iii",
-                  XType.DDb: "iv", XType.SSb: "v"}
-
-
 def _sizes(xtype: XType, max_n: int) -> list[int]:
     start = 0 if xtype.even_n else 1
     return list(range(start, max_n + 1, 2))
@@ -339,7 +335,7 @@ def run_suite(seed: int, max_n: int) -> list[Check]:
                         twist(module, "rho")
                         twisted.add(xtype)
                     witnesses = link_check(hp, hm, q)
-                    expect = _EXPECTED_CASE[xtype]
+                    expect = xtype.row.case
                     if not any(w.case_id == expect for w in witnesses):
                         failures.append(f"{tag}: missing case {expect}")
                         continue

@@ -30,7 +30,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .exactfield import (
     ExtensionRequiredError,
@@ -109,21 +109,41 @@ class XType(str, enum.Enum):
 
     @property
     def family(self) -> str:
-        """The reduced-diagram pattern: DS, DD, or SS."""
-        return {"DS": "DS", "DDa": "DD", "DDb": "DD",
-                "SSa": "SS", "SSb": "SS"}[self.value]
+        """The reduced-diagram pattern: DS, DD, or SS (the name's first two letters)."""
+        return self.value[:2]
 
     @property
     def even_n(self) -> bool:
         return self is XType.DS
 
+    @property
+    def row(self) -> "_XTypeRow":
+        """This type's row of the X-type table."""
+        return _XTYPE_TABLE[self]
 
-def _lift(e: FieldElement, ctx: FieldContext) -> FieldElement:
-    if e.ctx == ctx:
-        return e
-    if e.irr != 0:
-        raise ValueError("cannot move an irrational element between contexts")
-    return FieldElement(ctx, e.rat)
+
+class _XTypeRow(NamedTuple):
+    """What distinguishes one X-type, as k-slot indices: the ladders of X
+    and Y are built on k[i] k[j] for (i, j) = ``x_base``, ``y_base``;
+    ``solo`` is the slot fixed by the defining equation
+    k_solo^2 = q^{-n-1} (None for DS); ``case`` is the link case row a
+    module of this type realizes; ``abc`` are the slots carrying the Huang
+    scalars (a, b, c) of the restricted pairs."""
+
+    x_base: tuple[int, int]
+    y_base: tuple[int, int]
+    solo: Optional[int]
+    case: str
+    abc: tuple[int, int, int]
+
+
+_XTYPE_TABLE = {
+    XType.DS: _XTypeRow((0, 3), (0, 1), None, "ii", (1, 3, 2)),
+    XType.DDa: _XTypeRow((0, 3), (0, 1), 0, "i", (1, 3, 2)),
+    XType.DDb: _XTypeRow((0, 3), (2, 3), 3, "iv", (2, 0, 1)),
+    XType.SSa: _XTypeRow((1, 2), (0, 1), 1, "iii", (0, 2, 3)),
+    XType.SSb: _XTypeRow((1, 2), (2, 3), 2, "v", (3, 1, 0)),
+}
 
 
 @dataclass(frozen=True, slots=True)
@@ -142,8 +162,8 @@ class HqParams:
         if len(self.k) != 4 or any(not ki for ki in self.k):
             raise ValueError("need four nonzero parameters k0..k3")
         ctx = common_context(self.q, *self.k)
-        object.__setattr__(self, "q", _lift(self.q, ctx))
-        object.__setattr__(self, "k", tuple(_lift(ki, ctx) for ki in self.k))
+        object.__setattr__(self, "q", ctx.lift(self.q))
+        object.__setattr__(self, "k", tuple(ctx.lift(ki) for ki in self.k))
 
     @property
     def ctx(self) -> FieldContext:
@@ -217,24 +237,22 @@ def validate_params(xtype: XType, n: int, k: Sequence[FieldElement],
     if (n % 2 == 0) != xtype.even_n:
         bad.append("parity")
         return bad
-    k0, k1, k2, k3 = k
-    qe = lambda e: int_pow(q, e)
-    qpow_defining = qe(-n - 1)
-    if xtype is XType.DS:
-        if k0 * k1 * k2 * k3 != qpow_defining:
+    qpow_defining = int_pow(q, -n - 1)
+    solo = xtype.row.solo
+    xi, xj = xtype.row.x_base
+    base = k[xi] * k[xj]
+    if solo is None:
+        if k[0] * k[1] * k[2] * k[3] != qpow_defining:
             bad.append("defining-equation")
         line = _q_powers(q, range(-n, 0))           # q^{-1} .. q^{-n}
-        if k0 * k3 in line or -(k0 * k3) in line:
+        if base in line or -base in line:
             bad.append("k0k3-line")
         half = _q_powers(q, range(-(n // 2), 0))    # q^{-1} .. q^{-n/2}
         for i, ki in enumerate(k):
             if ki in half or -ki in half:
                 bad.append(f"k{i}-halfline")
     else:
-        solo, partner = {
-            XType.DDa: (0, 3), XType.DDb: (3, 0),
-            XType.SSa: (1, 2), XType.SSb: (2, 1),
-        }[xtype]
+        partner = xi + xj - solo
         if k[solo] * k[solo] != qpow_defining:
             bad.append("defining-equation")
         upper = _q_powers(q, range(0, (n - 1) // 2 + 1))   # 1, q, .., q^{(n-1)/2}
@@ -242,10 +260,7 @@ def validate_params(xtype: XType, n: int, k: Sequence[FieldElement],
         if any(x in upper for x in (kp, -kp, kp.inv(), -kp.inv())):
             bad.append(f"k{partner}-upperline")
         odd_line = _q_powers(q, range(-n, 0, 2))           # q^{-1}, q^{-3}, .., q^{-n}
-        if xtype in (XType.DDa, XType.DDb):
-            base, alt = k0 * k3, (k1, k2)
-        else:
-            base, alt = k1 * k2, (k0, k3)
+        alt = [k[s] for s in range(4) if s not in (xi, xj)]
         for ea, eb in itertools.product((1, -1), repeat=2):
             if base * int_pow(alt[0], ea) * int_pow(alt[1], eb) in odd_line:
                 bad.append("product-oddline")
@@ -265,19 +280,9 @@ def eigenvalue_ladder(xtype: XType, n: int, k: Sequence[FieldElement],
         raise ValueError(f"invalid parameters: {', '.join(bad)}")
     xtype = XType(xtype)
     ctx = common_context(q, *k)
-    qq = _lift(q, ctx)
-    k0, k1, k2, k3 = (_lift(ki, ctx) for ki in k)
-    mu: list[FieldElement] = []
-    if xtype.family in ("DS", "DD"):
-        base = k0 * k3
-        for r in range(n + 1):
-            mu.append(base * int_pow(qq, r) if r % 2 == 0
-                      else (base * int_pow(qq, r + 1)).inv())
-    else:
-        base = k1 * k2
-        for r in range(n + 1):
-            mu.append((base * int_pow(qq, r + 1)).inv() if r % 2 == 0
-                      else base * int_pow(qq, r))
+    qq = ctx.lift(q)
+    kk = [ctx.lift(ki) for ki in k]
+    mu = [_ladder(kk, xtype.row.x_base, qq, r) for r in range(n + 1)]
     if len(set(mu)) != n + 1:
         raise VerificationError("ladder values are not mutually distinct")
     for r in range(n):
@@ -290,11 +295,21 @@ def eigenvalue_ladder(xtype: XType, n: int, k: Sequence[FieldElement],
     return mu
 
 
+def _ladder(k: Sequence[FieldElement], slots: tuple[int, int], q: FieldElement,
+            r: int) -> FieldElement:
+    """The r-th value of the ladder on base = k[i] k[j], (i, j) = slots:
+    base q^r on even r when the base holds k0 and on odd r otherwise,
+    (base q^{r+1})^{-1} on the other r."""
+    base = k[slots[0]] * k[slots[1]]
+    if (r % 2 == 0) == (0 in slots):
+        return base * int_pow(q, r)
+    return (base * int_pow(q, r + 1)).inv()
+
+
 def _step_is_double(xtype: XType, r: int) -> bool:
-    """Whether ladder step r (mu_r to mu_{r+1}) is a double bond."""
-    if XType(xtype).family in ("DS", "DD"):
-        return r % 2 == 0
-    return r % 2 == 1
+    """Whether ladder step r (mu_r to mu_{r+1}) is a double bond: exactly
+    where the X-ladder takes the form base q^r."""
+    return (r % 2 == 0) == (0 in XType(xtype).row.x_base)
 
 
 # ---------------------------------------------------------------------------
@@ -515,8 +530,9 @@ def build_module(xtype: XType, n: int, k: Sequence[FieldElement],
     xtype = XType(xtype)
     mu = eigenvalue_ladder(xtype, n, k, q)
     ctx = mu[0].ctx
-    qq = _lift(q, ctx)
-    k0, k1, k2, k3 = (_lift(ki, ctx) for ki in k)
+    qq = ctx.lift(q)
+    kk = tuple(ctx.lift(ki) for ki in k)
+    k0, k1, k2, k3 = kk
     z = ctx.zero()
     rows = {i: [[z] * (n + 1) for _ in range(n + 1)] for i in range(4)}
 
@@ -556,19 +572,21 @@ def build_module(xtype: XType, n: int, k: Sequence[FieldElement],
             put(2, r, r + 1, hi * g * den_hi)
             put(2, r + 1, r + 1, (hi * c2 - c1) * den_hi)
 
-    # endpoint actions (each generator must touch every vertex exactly once)
-    endpoints = {
-        XType.DS: [(0, 0, k0), (3, 0, k3), (1, n, k1), (2, n, k2)],
-        XType.DDa: [(0, 0, k0), (3, 0, k3), (0, n, k0), (3, n, k3.inv())],
-        XType.DDb: [(0, 0, k0), (3, 0, k3), (0, n, k0.inv()), (3, n, k3)],
-        XType.SSa: [(1, 0, k1), (2, 0, k2), (1, n, k1), (2, n, k2.inv())],
-        XType.SSb: [(1, 0, k1), (2, 0, k2), (1, n, k1.inv()), (2, n, k2)],
-    }[xtype]
-    for gen, vertex, val in endpoints:
-        put(gen, vertex, vertex, val)
+    # endpoint actions (each generator must touch every vertex exactly once):
+    # the X-base generators act by k at v_0; at v_n the other two do (DS),
+    # or the X-base ones again with the non-solo value inverted
+    row = xtype.row
+    for i in row.x_base:
+        put(i, 0, 0, kk[i])
+    if row.solo is None:
+        for i in (1, 2):
+            put(i, n, n, kk[i])
+    else:
+        for i in row.x_base:
+            put(i, n, n, kk[i] if i == row.solo else kk[i].inv())
 
     t = tuple(ExactMatrix(ctx, rows[i]) for i in range(4))
-    module = HqModule(HqParams(qq, n, (k0, k1, k2, k3)), xtype, t, mu)
+    module = HqModule(HqParams(qq, n, kk), xtype, t, mu)
     report = verify_hq_relations(module)
     if not report.ok:
         raise VerificationError(
@@ -684,34 +702,18 @@ def derived_elements(m: HqModule, with_projectors: bool = True) -> DerivedElemen
 # ---------------------------------------------------------------------------
 
 
-def _beta_values(m: HqModule) -> list[FieldElement]:
-    """The recursion scalars beta_0..beta_n of the Y-flattening basis."""
-    k0, k1, k2, k3 = m.params.k
-    qe = m.params.qe
-    out = []
-    for r in range(m.params.n + 1):
-        even = r % 2 == 0
-        if m.xtype in (XType.DS, XType.DDa):
-            out.append(k0 * k1 * qe(r if even else r + 1))
-        elif m.xtype is XType.DDb:
-            out.append((k2 * k3 * qe(r + 1 if even else r)).inv())
-        elif m.xtype is XType.SSa:
-            out.append((k0 * k1 * qe(r if even else r + 1)).inv())
-        else:  # SSb
-            out.append(k2 * k3 * qe(r + 1 if even else r))
-    return out
-
-
 def _y_diagonal(m: HqModule) -> list[FieldElement]:
-    """Predicted Y-eigenvalue sequence along the Y-flattening basis."""
-    beta = _beta_values(m)
-    vals = []
-    for r, b in enumerate(beta):
-        if m.xtype in (XType.SSa, XType.SSb):
-            vals.append(b.inv() if r % 2 == 0 else b)
-        else:
-            vals.append(b if r % 2 == 0 else b.inv())
-    return vals
+    """Predicted Y-eigenvalue sequence along the Y-flattening basis: the
+    ladder on the Y base."""
+    return [_ladder(m.params.k, m.xtype.row.y_base, m.params.q, r)
+            for r in range(m.params.n + 1)]
+
+
+def _beta_values(m: HqModule) -> list[FieldElement]:
+    """The recursion scalars beta_0..beta_n of the Y-flattening basis: the
+    Y-diagonal, inverted on single-bond steps."""
+    return [y if _step_is_double(m.xtype, r) else y.inv()
+            for r, y in enumerate(_y_diagonal(m))]
 
 
 def is_feasible(m: HqModule) -> tuple[bool, Report]:
@@ -726,14 +728,15 @@ def is_feasible(m: HqModule) -> tuple[bool, Report]:
     checks: list[Check] = []
     n = m.params.n
     q = m.params.q
-    k0, k1, k2, k3 = m.params.k
+    k0 = m.params.k[0]
     ident = ExactMatrix.identity(m.ctx, n + 1)
     eig_dim = lambda mat, mu: n + 1 - rank(mat - ident.scale(mu))   # no basis needed
     xd = all(eig_dim(m.X, mu) == 1 for mu in m.mu)
     checks.append(Check("X-diagonalizable-simple-spectrum", xd))
     # route (a): the forbidden-membership table
     line = _q_powers(q, range(-n, 0))
-    pair = k0 * k1 if m.xtype in (XType.DS, XType.DDa, XType.SSa) else k2 * k3
+    i, j = m.xtype.row.y_base
+    pair = m.params.k[i] * m.params.k[j]
     table_ok = pair not in line and -pair not in line
     # route (b): predicted spectrum with eigenspace dimensions
     yvals = _y_diagonal(m)
@@ -851,11 +854,23 @@ def u_basis(m: HqModule) -> UBasis:
     return UBasis(p, tuple(beta), tuple(e), ps)
 
 
+def _t0_indices(xtype: XType, n: int) -> tuple[list[int], list[int]]:
+    """The rescaled flattening vectors whose projections span V(k0) and
+    V(k0^{-1}); their counts are the dimensions d+1 and d'+1."""
+    if xtype is XType.DS:
+        return list(range(0, n + 1, 2)), list(range(2, n + 1, 2))
+    if xtype is XType.DDa:
+        return list(range(0, n, 2)) + [n], list(range(2, n, 2))
+    if xtype in (XType.DDb, XType.SSa):
+        return list(range(0, n, 2)), list(range(1, n + 1, 2))
+    return list(range(0, n, 2)), list(range(0, n, 2))          # SSb
+
+
 def t0_split(m: HqModule) -> tuple[list[Vector], list[Vector]]:
     """Ordered bases of the two t0-eigenspaces V(k0) and V(k0^{-1}),
     obtained by projecting the type-specific subsets of the rescaled
-    flattening basis.  Dimensions are asserted against the expected
-    (d+1, d'+1)."""
+    flattening basis; each projected vector must be a nonzero
+    t0-eigenvector and each basis independent."""
     feasible, report = m.feasibility
     if not feasible:
         raise ValueError("t0-split needs a feasible module: "
@@ -864,29 +879,9 @@ def t0_split(m: HqModule) -> tuple[list[Vector], list[Vector]]:
     ub = u_basis(m)
     uvec = [ub.columns_scaled.col(r) for r in range(n + 1)]
     fp, fm = m.F_plus, m.F_minus
-    if m.xtype is XType.DS:
-        plus_idx = list(range(0, n + 1, 2))
-        minus_idx = list(range(2, n + 1, 2))
-    elif m.xtype is XType.DDa:
-        plus_idx = list(range(0, n, 2)) + [n]
-        minus_idx = list(range(2, n, 2))
-    elif m.xtype in (XType.DDb, XType.SSa):
-        plus_idx = list(range(0, n, 2))
-        minus_idx = list(range(1, n + 1, 2))
-    else:  # SSb
-        plus_idx = list(range(0, n, 2))
-        minus_idx = list(range(0, n, 2))
+    plus_idx, minus_idx = _t0_indices(m.xtype, n)
     plus = [fp.apply(uvec[i]) for i in plus_idx]
     minus = [fm.apply(uvec[i]) for i in minus_idx]
-    dims = {
-        XType.DS: (n // 2 + 1, n // 2),
-        XType.DDa: ((n + 1) // 2 + 1, (n - 1) // 2),
-        XType.DDb: ((n + 1) // 2, (n + 1) // 2),
-        XType.SSa: ((n + 1) // 2, (n + 1) // 2),
-        XType.SSb: ((n + 1) // 2, (n + 1) // 2),
-    }[m.xtype]
-    if (len(plus), len(minus)) != dims:
-        raise VerificationError("t0-eigenspace dimensions do not match the type table")
     for name, vs, proj in (("plus", plus, fp), ("minus", minus, fm)):
         if any(not any(v) for v in vs):
             raise VerificationError(f"a projected {name}-basis vector vanished")
@@ -910,11 +905,10 @@ def t0_split(m: HqModule) -> tuple[list[Vector], list[Vector]]:
 def _type_sign(m: HqModule) -> FieldElement:
     """The sign eps = +-1 relating the defining-equation root to the
     positive power of q (eps = k_solo * q^{(n+1)/2} for the non-DS types)."""
-    n = m.params.n
-    if m.xtype is XType.DS:
+    solo = m.xtype.row.solo
+    if solo is None:
         return m.ctx.one()
-    solo = {XType.DDa: 0, XType.DDb: 3, XType.SSa: 1, XType.SSb: 2}[m.xtype]
-    eps = m.params.k[solo] * m.params.qe((n + 1) // 2)
+    eps = m.params.k[solo] * m.params.qe((m.params.n + 1) // 2)
     if eps * eps != 1:
         raise VerificationError("defining equation does not hold")
     return eps
@@ -923,52 +917,41 @@ def _type_sign(m: HqModule) -> FieldElement:
 def _closed_form_huang(m: HqModule, plus: bool) -> HuangData:
     """Huang data of the restricted pair from the type's closed forms.
 
-    For the non-DS types the closed forms carry the sign eps of the
-    defining-equation square root; at eps = +1 they reduce to the familiar
-    (k1, k3, k2)-style parameter triples.
+    (a, b, c) are the k-slots of the type's ``abc``, with k0 taken over
+    q^{+-1} (+ on V(k0)), all times k0 q^{n/2} on V(k0) and k0 q^{n/2+1}
+    on V(k0^{-1}) (DS) or times the sign eps of the defining-equation
+    square root (the other types); at eps = +1 these are the familiar
+    (k1, k3, k2)-style parameter triples.  d is read off the t0-split.
     """
     n = m.params.n
-    k0, k1, k2, k3 = m.params.k
-    q = m.params.q
+    k = m.params.k
     qe = m.params.qe
-    eps = _type_sign(m)
+    d = len(_t0_indices(m.xtype, n)[0 if plus else 1]) - 1
     if m.xtype is XType.DS:
-        shift = qe(n // 2) if plus else qe((n + 2) // 2)
-        d = n // 2 if plus else (n - 2) // 2
-        return HuangData(k0 * k1 * shift, k0 * k3 * shift, k0 * k2 * shift, d)
-    if m.xtype is XType.DDa:
-        d = (n + 1) // 2 if plus else (n - 3) // 2
-        return HuangData(eps * k1, eps * k3, eps * k2, d)
-    d = (n - 1) // 2
-    if m.xtype is XType.DDb:
-        return HuangData(eps * k2, eps * k0 * (q.inv() if plus else q), eps * k1, d)
-    if m.xtype is XType.SSa:
-        return HuangData(eps * k0 * (q.inv() if plus else q), eps * k2, eps * k3, d)
-    return HuangData(eps * k3, eps * k1, eps * k0 * (q.inv() if plus else q), d)
+        scale = k[0] * qe(n // 2 if plus else (n + 2) // 2)
+    else:
+        scale = _type_sign(m)
+    shift = m.params.q.inv() if plus else m.params.q
+    return HuangData(*(scale * (k[i] * shift if i == 0 else k[i]) for i in m.xtype.row.abc), d)
 
 
 def _restricted_diagonals(m: HqModule, plus: bool,
                           d: int) -> tuple[list[FieldElement], list[FieldElement]]:
     """Predicted standard orderings (theta for A, theta* for B) on the
-    chosen t0-eigenspace."""
-    k0, k1, k2, k3 = m.params.k
+    chosen t0-eigenspace: theta_r = v_r + v_r^{-1} with v_r = base q^{2r},
+    base the Y base for A and the X base for B, times q^2 on V(k0^{-1})
+    when it holds k0 and times q on both spaces when it does not."""
     qe = m.params.qe
-    if m.xtype in (XType.DS, XType.DDa, XType.SSa):
-        base_a = k0 * k1 if plus else k0 * k1 * qe(2)
-    else:
-        base_a = k2 * k3 * qe(1)
-    if m.xtype in (XType.SSa, XType.SSb):
-        base_b = k1 * k2 * qe(1)
-    else:
-        base_b = k0 * k3 if plus else k0 * k3 * qe(2)
-    theta = []
-    theta_star = []
-    for r in range(d + 1):
-        va = base_a * qe(2 * r)
-        theta.append(va + va.inv())
-        vb = base_b * qe(2 * r)
-        theta_star.append(vb + vb.inv())
-    return theta, theta_star
+
+    def ladder(slots: tuple[int, int]) -> list[FieldElement]:
+        base = m.params.k[slots[0]] * m.params.k[slots[1]]
+        if 0 not in slots:
+            base = base * qe(1)
+        elif not plus:
+            base = base * qe(2)
+        return [v + v.inv() for v in (base * qe(2 * r) for r in range(d + 1))]
+
+    return ladder(m.xtype.row.y_base), ladder(m.xtype.row.x_base)
 
 
 def restricted_leonard_pairs(
@@ -1247,7 +1230,7 @@ def link_check(h: HuangData, h2: HuangData, q: FieldElement) -> list[LinkCase]:
     """
     if not (check_huang_admissible(h, q) and check_huang_admissible(h2, q)):
         raise ValueError("link checks need admissible Huang data")
-    qq = _lift(q, common_context(q, h.a, h2.a))
+    qq = common_context(q, h.a, h2.a).lift(q)
     witnesses: list[LinkCase] = []
     seen = set()
     c1_free = h.d == 0
@@ -1283,6 +1266,8 @@ def link_check(h: HuangData, h2: HuangData, q: FieldElement) -> list[LinkCase]:
 
 _C_CATALOGUE = (1, 2, 3, 5, 7, 11, 13, 17, 19, 23)
 
+_CASE_XTYPE = {row.case: xtype for xtype, row in _XTYPE_TABLE.items()}
+
 
 def link_construct(h: HuangData, h2: HuangData, q: FieldElement,
                    sign: Optional[str] = None) -> LinkConstruction:
@@ -1314,36 +1299,26 @@ def link_construct(h: HuangData, h2: HuangData, q: FieldElement,
     d = h.d
     ctx = common_context(q, side1["a"], side1["b"], side1["c"],
                          side2["a"], side2["b"], side2["c"])
-    qq = _lift(q, ctx)
+    qq = ctx.lift(q)
     qe = lambda e: int_pow(qq, e)
-    A = _lift(side1["a"], ctx)
-    B = _lift(side1["b"], ctx)
+    A = ctx.lift(side1["a"])
+    B = ctx.lift(side1["b"])
     if h.d >= 1:
-        C = _lift(side1["c"], ctx)
+        C = ctx.lift(side1["c"])
     elif h2.d >= 1:
         _, _, ec = _CASE_TABLE[case][1]
-        C = _lift(side2["c"], ctx) * qe(-ec)
+        C = ctx.lift(side2["c"]) * qe(-ec)
     else:
         C = _free_c_choice(case, d, A, B, qq)
-    if case == "i":
-        xtype, n = XType.DDa, 2 * d - 1
-        k = (qe(-d), A, C, B)
-    elif case == "ii":
+    if case == "ii":
         xtype, n = XType.DS, 2 * d
         k0 = _ds_root(A * B * C * qe(1 - d), sign)
         kctx = k0.ctx
-        A, B, C, qq = (_lift(x, kctx) for x in (A, B, C, qq))
+        A, B, C, qq = (kctx.lift(x) for x in (A, B, C, qq))
         scale = int_pow(qq, -d) * k0.inv()
         k = (k0, A * scale, C * scale, B * scale)
-    elif case == "iii":
-        xtype, n = XType.SSa, 2 * d + 1
-        k = (A * qq, qe(-d - 1), B, C)
-    elif case == "iv":
-        xtype, n = XType.DDb, 2 * d + 1
-        k = (B * qq, C, A, qe(-d - 1))
-    else:  # case v
-        xtype, n = XType.SSb, 2 * d + 1
-        k = (C * qq, B, qe(-d - 1), A)
+    else:
+        xtype, n, k = _case_params(case, d, (A, B, C), qq)
     bad = validate_params(xtype, n, k, qq)
     if bad:
         raise VerificationError(
@@ -1365,26 +1340,30 @@ def _apply_variant(h: HuangData,
     return tuple(v if e == 1 else v.inv() for v, e in zip(vals, variant))
 
 
+def _case_params(case: str, d: int, abc: Sequence[FieldElement],
+                 q: FieldElement) -> tuple[XType, int, tuple[FieldElement, ...]]:
+    """(xtype, n, k) of the module realizing case row i, iii, iv or v for
+    Huang scalars (a, b, c) of diameter d on V(k0): the type whose row
+    names the case; k_solo = q^{-(n+1)/2}, and the ``abc`` slots carry
+    a, b, c (k0 times q)."""
+    xtype = _CASE_XTYPE[case]
+    n = 2 * d - 1 if xtype is XType.DDa else 2 * d + 1
+    k = [int_pow(q, -((n + 1) // 2))] * 4
+    for i, v in zip(xtype.row.abc, abc):
+        k[i] = v * q if i == 0 else v
+    return xtype, n, tuple(k)
+
+
 def _free_c_choice(case: str, d: int, a: FieldElement, b: FieldElement,
                    q: FieldElement) -> FieldElement:
     """A concrete c for the d = d' = 0 constructions, where c is
     unconstrained: the first catalogue value yielding valid parameters."""
     ctx = a.ctx
-    qe = lambda e: int_pow(q, e)
     for cand in _C_CATALOGUE:
         C = ctx.rational(cand)
-        if case == "v" and C * C == qe(-2):
+        if case == "v" and C * C == int_pow(q, -2):
             continue
-        if case == "iii":
-            k = (a * q, qe(-d - 1), b, C)
-            xt: XType = XType.SSa
-        elif case == "iv":
-            k = (b * q, C, a, qe(-d - 1))
-            xt = XType.DDb
-        else:
-            k = (C * q, b, qe(-d - 1), a)
-            xt = XType.SSb
-        if not validate_params(xt, 2 * d + 1, k, q):
+        if not validate_params(*_case_params(case, d, (a, b, C), q), q):
             return C
     raise VerificationError("no catalogue value for the free c-scalar fits")
 
@@ -1444,16 +1423,9 @@ def sample_params(rng, xtype: XType, n: int, q: FieldElement,
             k = (k0, k1, k2, k3)
         else:
             half = int_pow(q, -((n + 1) // 2))
-            solo_val = half if sgn == 1 else -half
             others = [draw(), draw(), draw()]
-            if xtype is XType.DDa:
-                k = (solo_val, others[0], others[1], others[2])
-            elif xtype is XType.DDb:
-                k = (others[0], others[1], others[2], solo_val)
-            elif xtype is XType.SSa:
-                k = (others[0], solo_val, others[1], others[2])
-            else:
-                k = (others[0], others[1], solo_val, others[2])
+            others.insert(xtype.row.solo, half if sgn == 1 else -half)
+            k = tuple(others)
         if not validate_params(xtype, n, k, q):
             return HqParams(q, n, k)
     return None

@@ -156,6 +156,20 @@ class FieldContext:
     def one(self) -> FieldElement:
         return FieldElement(self, Fraction(1))
 
+    def lift(self, x: Coercible) -> FieldElement:
+        """``x`` as an element of this field: an element of this field is
+        returned unchanged; ints, Fractions and rational elements move in;
+        an irrational element of another extension raises
+        :class:`ContextMismatchError`."""
+        if isinstance(x, FieldElement):
+            if x.ctx is self or x.ctx == self:
+                return x
+            if x.irr != 0:
+                raise ContextMismatchError(
+                    f"cannot move an element of Q(sqrt({x.ctx.disc})) into Q(sqrt({self.disc}))")
+            x = x.rat
+        return FieldElement(self, x)
+
 
 #: The plain rational field, shared default context.
 QQ = FieldContext(1)

@@ -47,16 +47,6 @@ class NotInvariantError(ValueError):
     """Raised when restricting an operator to a subspace it does not preserve."""
 
 
-def _coerce(ctx: FieldContext, x) -> FieldElement:
-    if isinstance(x, FieldElement):
-        if x.ctx == ctx:
-            return x
-        if x.irr == 0:
-            return FieldElement(ctx, x.rat)
-        raise ValueError("entry context does not match matrix context")
-    return ctx.element(x)
-
-
 class ExactMatrix:
     """An immutable dense matrix of :class:`FieldElement` entries.
 
@@ -74,7 +64,7 @@ class ExactMatrix:
         for row in rows:
             if len(row) != ncols:
                 raise ValueError("ragged rows")
-            frozen.append(tuple(_coerce(ctx, x) for x in row))
+            frozen.append(tuple(ctx.lift(x) for x in row))
         object.__setattr__(self, "ctx", ctx)
         object.__setattr__(self, "nrows", nrows)
         object.__setattr__(self, "ncols", ncols)
@@ -87,7 +77,7 @@ class ExactMatrix:
 
     @classmethod
     def from_rows(cls, ctx: FieldContext, rows: Sequence[Sequence]) -> "ExactMatrix":
-        return cls(ctx, [[_coerce(ctx, x) for x in row] for row in rows])
+        return cls(ctx, rows)
 
     @classmethod
     def from_cols(cls, ctx: FieldContext, cols: Sequence[Sequence]) -> "ExactMatrix":
@@ -95,7 +85,7 @@ class ExactMatrix:
         for c in cols:
             if len(c) != n:
                 raise ValueError("ragged columns")
-        return cls(ctx, [[_coerce(ctx, cols[j][i]) for j in range(len(cols))] for i in range(n)])
+        return cls(ctx, [[c[i] for c in cols] for i in range(n)])
 
     @classmethod
     def zeros(cls, ctx: FieldContext, nrows: int, ncols: Optional[int] = None) -> "ExactMatrix":
@@ -112,8 +102,7 @@ class ExactMatrix:
     def diagonal(cls, ctx: FieldContext, entries: Sequence) -> "ExactMatrix":
         n = len(entries)
         z = ctx.zero()
-        return cls(ctx, [[_coerce(ctx, entries[i]) if i == j else z for j in range(n)]
-                         for i in range(n)])
+        return cls(ctx, [[entries[i] if i == j else z for j in range(n)] for i in range(n)])
 
     # -- access ----------------------------------------------------------------
 
@@ -162,7 +151,7 @@ class ExactMatrix:
         return ExactMatrix(self.ctx, out)
 
     def scale(self, c) -> "ExactMatrix":
-        c = _coerce(self.ctx, c)
+        c = self.ctx.lift(c)
         return ExactMatrix(self.ctx, [[c * a for a in row] for row in self.rows])
 
     def apply(self, vec: Sequence[FieldElement]) -> Vector:

@@ -25,6 +25,7 @@ d = 0; we normalize c = 1 there).
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -93,14 +94,6 @@ def common_context(*elems: FieldElement) -> FieldContext:
                 raise ValueError("elements live in incompatible quadratic extensions")
             ctx = e.ctx
     return ctx
-
-
-def _promote(e: FieldElement, ctx: FieldContext) -> FieldElement:
-    if e.ctx == ctx:
-        return e
-    if e.irr != 0:
-        raise ValueError("cannot promote an irrational element across contexts")
-    return FieldElement(ctx, e.rat)
 
 
 # ---------------------------------------------------------------------------
@@ -182,9 +175,9 @@ class HuangData:
         if not (self.a and self.b and self.c):
             raise ValueError("Huang scalars must be nonzero")
         ctx = common_context(self.a, self.b, self.c)
-        object.__setattr__(self, "a", _promote(self.a, ctx))
-        object.__setattr__(self, "b", _promote(self.b, ctx))
-        object.__setattr__(self, "c", _promote(self.c, ctx))
+        object.__setattr__(self, "a", ctx.lift(self.a))
+        object.__setattr__(self, "b", ctx.lift(self.b))
+        object.__setattr__(self, "c", ctx.lift(self.c))
 
     @property
     def ctx(self) -> FieldContext:
@@ -209,112 +202,67 @@ class HuangData:
 # ---------------------------------------------------------------------------
 
 
-_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+def _poly_divmod(f: Sequence[Fraction],
+                 g: Sequence[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
+    """Quotient and remainder of f by g over Q (ascending coefficients,
+    g[-1] != 0); the remainder carries no trailing zeros."""
+    rem, quo = list(f), []
+    for i in range(len(f) - len(g), -1, -1):
+        c = rem[i + len(g) - 1] / g[-1]
+        quo.append(c)
+        for j, gj in enumerate(g):
+            rem[i + j] -= c * gj
+    del rem[len(g) - 1:]
+    while rem and not rem[-1]:
+        rem.pop()
+    return quo[::-1], rem
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    for p in _SMALL_PRIMES:
-        if n % p == 0:
-            return n == p
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    # deterministic Miller-Rabin for anything these polynomials can produce
-    for a in _SMALL_PRIMES:
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
+def _rational_roots(f: Sequence[Fraction]) -> list[Fraction]:
+    """The distinct rational roots of a rational polynomial (ascending
+    coefficients, f[-1] != 0), in increasing order.
 
-
-def _pollard_rho(n: int) -> int:
-    for c in range(1, 50):
-        x = y = 2
-        d = 1
-        while d == 1:
-            x = (x * x + c) % n
-            y = (y * y + c) % n
-            y = (y * y + c) % n
-            d = math.gcd(abs(x - y), n)
-        if d != n:
-            return d
-    raise ArithmeticError(f"cannot factor {n}")
-
-
-def _factorize(n: int) -> dict[int, int]:
-    out: dict[int, int] = {}
-    for p in _SMALL_PRIMES:
-        while n % p == 0:
-            out[p] = out.get(p, 0) + 1
-            n //= p
-    stack = [n] if n > 1 else []
-    while stack:
-        m = stack.pop()
-        if _is_prime(m):
-            out[m] = out.get(m, 0) + 1
-            continue
-        d = _pollard_rho(m)
-        stack.extend((d, m // d))
-    return out
-
-
-def _divisors(n: int) -> list[int]:
-    n = abs(n)
-    if n == 0:
-        return []
-    divs = [1]
-    for p, e in _factorize(n).items():
-        divs = [d * p ** k for d in divs for k in range(e + 1)]
-    return sorted(divs)
-
-
-def _rational_root_candidates(coeffs: Sequence[Fraction]) -> list[Fraction]:
-    """Candidate nonzero rational roots of a polynomial with the given
-    rational coefficients (ascending): the rational root theorem, pruned by
-    the P(1)/P(-1) divisibility filter.
-
-    A root u/v in lowest terms has (vx - u) dividing the integer polynomial,
-    so (v - u) | P(1) and (v + u) | P(-1); this cuts the divisor lattice to
-    a handful of survivors before any full evaluation.
+    p-adic lifting, no factoring (Loos, SIAM J. Comput. 12, 1983): the
+    squarefree part f / gcd(f, f') is scaled to a primitive integer
+    polynomial g; its roots modulo the first prime p not dividing lc(g) at
+    which they are all simple are lifted by Newton's iteration past 2N^2,
+    N = max |g_i| (a bound on the numerator and the denominator of every
+    rational root, zero roots included); the half-extended Euclidean
+    algorithm rebuilds each as a fraction, kept only if it is exactly a
+    root.
     """
-    denom_lcm = 1
-    for c in coeffs:
-        denom_lcm = denom_lcm * c.denominator // math.gcd(denom_lcm, c.denominator)
-    ints = [int(c * denom_lcm) for c in coeffs]
-    while ints and ints[0] == 0:
-        ints = ints[1:]          # nonzero roots only; x^k factors drop out
-    c0, cn = ints[0], ints[-1]
-    p_at_1 = sum(ints)
-    p_at_m1 = sum(v if i % 2 == 0 else -v for i, v in enumerate(ints))
-    cands: list[Fraction] = []
-    for s in _divisors(cn):
-        for p in _divisors(c0):
-            if math.gcd(p, s) != 1:
-                continue
-            for num in (p, -p):
-                dv = s - num
-                if dv == 0:
-                    if p_at_1 != 0:
-                        continue
-                elif p_at_1 % dv:
-                    continue
-                dw = s + num
-                if dw == 0:
-                    if p_at_m1 != 0:
-                        continue
-                elif p_at_m1 % dw:
-                    continue
-                cands.append(Fraction(num, s))
-    return sorted(set(cands))
+    a, b = list(f), [i * c for i, c in enumerate(f)][1:]
+    while b:
+        a, b = b, _poly_divmod(a, b)[1]
+    sqf = _poly_divmod(f, a)[0]
+    den = math.lcm(*(c.denominator for c in sqf))
+    g = [int(c * den) for c in sqf]
+    content = math.gcd(*g)
+    g = [c // content for c in g]
+    dg = [i * c for i, c in enumerate(g)][1:]
+    ev = lambda h, x, m: functools.reduce(lambda acc, c: (acc * x + c) % m, reversed(h), 0)
+    p = 1
+    while True:
+        p += 1
+        if g[-1] % p == 0 or any(p % s == 0 for s in range(2, math.isqrt(p) + 1)):
+            continue
+        residues = [r for r in range(p) if not ev(g, r, p)]
+        if all(ev(dg, r, p) for r in residues):
+            break
+    bound = max(abs(c) for c in g)
+    roots = []
+    for r in residues:
+        m = p
+        while m <= 2 * bound * bound:
+            m *= m
+            r = (r - ev(g, r, m) * pow(ev(dg, r, m), -1, m)) % m
+        r0, r1, t0, t1 = m, r, 0, 1
+        while r1 > bound:
+            quo = r0 // r1
+            r0, r1, t0, t1 = r1, r0 - quo * r1, t1, t0 - quo * t1
+        if abs(t1) <= bound and not _poly_eval(g, Fraction(r1, t1)):
+            roots.append(Fraction(r1, t1))
+    return sorted(roots)
 
 
 def _poly_eval(coeffs: Sequence[FieldElement], x: FieldElement) -> FieldElement:
@@ -334,13 +282,13 @@ def _deflate(coeffs: list[FieldElement], r: FieldElement) -> list[FieldElement]:
 
 
 def _field_roots(coeffs: Sequence[FieldElement]) -> Optional[list[FieldElement]]:
-    """All roots (with multiplicity) of a monic polynomial, provided the
-    polynomial splits after rational-root extraction plus one quadratic
-    completion; otherwise None.
+    """All roots (with multiplicity) of a polynomial, provided it splits
+    after rational-root extraction plus one quadratic completion;
+    otherwise None.
 
-    Rational roots are found by the rational root theorem (applied to the
-    rational parts, filtered by full evaluation when coefficients are
-    irrational); what remains must have degree <= 2.
+    Rational roots are those of the rational part of the monic polynomial
+    (:func:`_rational_roots`) that are roots of the whole; deflating by
+    them must leave degree <= 2.
     """
     ctx = coeffs[-1].ctx
     work = list(coeffs)
@@ -348,21 +296,16 @@ def _field_roots(coeffs: Sequence[FieldElement]) -> Optional[list[FieldElement]]
         lead_inv = work[-1].inv()
         work = [lead_inv * c for c in work]
     roots: list[FieldElement] = []
+    cands = None
     while len(work) - 1 > 2:
         # zero roots first
         if not work[0]:
             roots.append(ctx.zero())
             work = work[1:]
             continue
-        rat_part = [c.rat for c in work]
-        irr_part = [c.irr for c in work]
-        base = rat_part if any(rat_part) else irr_part
-        found = None
-        for cand in _rational_root_candidates(base):
-            x = ctx.from_fraction(cand)
-            if not _poly_eval(work, x):
-                found = x
-                break
+        if cands is None:
+            cands = [ctx.from_fraction(x) for x in _rational_roots([c.rat for c in work])]
+        found = next((x for x in cands if not _poly_eval(work, x)), None)
         if found is None:
             return None
         roots.append(found)
@@ -632,8 +575,8 @@ def qracah_parameter(theta: Sequence[FieldElement], q: FieldElement) -> Optional
     if d < 0:
         raise ValueError("empty eigenvalue list")
     ctx = common_context(q, *theta)
-    th = [_promote(x, ctx) for x in theta]
-    qq = _promote(q, ctx)
+    th = [ctx.lift(x) for x in theta]
+    qq = ctx.lift(q)
     if d == 0:
         disc = th[0] * th[0] - 4
         s = sqrt_element(disc)
@@ -695,13 +638,13 @@ def huang_data_from_array(pa: ParameterArray, q: FieldElement) -> Optional[Huang
         return None
     d = pa.diameter
     ctx = common_context(a, b, q, *pa.phi, *pa.phi2)
-    a, b, qq = _promote(a, ctx), _promote(b, ctx), _promote(q, ctx)
+    a, b, qq = ctx.lift(a), ctx.lift(b), ctx.lift(q)
     if d == 0:
         return HuangData(a, b, ctx.one(), 0)
     qe = lambda e: int_pow(qq, e)
     # phi_1 = K (q^{-2} - a b q^{-d-1} s + a^2 b^2 q^{-2d}),  s = c + c^{-1}
     K = a.inv() * b.inv() * qe(d + 1) * (qq - qe(-1)) * (qe(-d) - qe(d))
-    phi1 = pa.phi[0] if pa.phi[0].irr != 0 else _promote(pa.phi[0], ctx)
+    phi1 = ctx.lift(pa.phi[0])
     s = (qe(-2) + a * a * b * b * qe(-2 * d) - phi1 * K.inv()) * (a * b * qe(-d - 1)).inv()
     disc = s * s - 4
     root = sqrt_element(disc)
@@ -768,7 +711,7 @@ def build_pair_from_huang(h: HuangData, q: FieldElement) -> LeonardPair:
     if not check_huang_admissible(h, q):
         raise ValueError("inadmissible Huang data")
     ctx = common_context(h.a, h.b, h.c, q)
-    a, b, c, qq = (_promote(x, ctx) for x in (h.a, h.b, h.c, q))
+    a, b, c, qq = (ctx.lift(x) for x in (h.a, h.b, h.c, q))
     d = h.d
     qe = lambda e: int_pow(qq, e)
     theta = [a * qe(2 * r - d) + a.inv() * qe(d - 2 * r) for r in range(d + 1)]
@@ -820,7 +763,7 @@ def askey_wilson_third(P: LeonardPair, h: HuangData, q: FieldElement) -> ExactMa
     result does not change when any of a, b, c is inverted.
     """
     ctx = common_context(h.a, h.b, h.c, q, P.A.ctx.one())
-    a, b, c, qq = (_promote(x, ctx) for x in (h.a, h.b, h.c, q))
+    a, b, c, qq = (ctx.lift(x) for x in (h.a, h.b, h.c, q))
     A, S = P.A, P.Astar
     n = A.nrows
     ident = ExactMatrix.identity(ctx, n)

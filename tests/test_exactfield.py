@@ -119,6 +119,21 @@ def test_cross_context_irrationals_refuse():
             op(y, x)
 
 
+def test_lift_moves_rationals_and_refuses_foreign_irrationals():
+    ctx = FieldContext(3)
+    x = ctx.element(1, 2)
+    assert ctx.lift(x) is x                                   # same field: unchanged
+    assert FieldContext(3).lift(x) is x                       # equal context by value
+    for value in (5, Fraction(-2, 7), QQ.rational(4, 9), FieldContext(2).rational(3)):
+        lifted = ctx.lift(value)
+        assert lifted.ctx == ctx and lifted == value
+    assert QQ.lift(ctx.rational(1, 2)).ctx == QQ              # rational element of Q(sqrt 3)
+    with pytest.raises(ContextMismatchError):
+        ctx.lift(FieldContext(2).element(0, 1))
+    with pytest.raises(ContextMismatchError):
+        QQ.lift(x)
+
+
 def test_int_pow():
     ctx = FieldContext(5)
     x = ctx.element(1, 1)
