@@ -432,10 +432,13 @@ def _build_parser() -> _Parser:
     return parser
 
 
+_PARSER = _build_parser()
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     started = time.perf_counter()
     try:
-        args = _build_parser().parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except CliParseError as exc:
         _emit({"error": f"argument error: {exc}"}, None)
         return EXIT_PARSE

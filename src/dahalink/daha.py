@@ -414,8 +414,7 @@ def _g_matrix(z: ExactMatrix, s: FieldElement, t: FieldElement) -> ExactMatrix:
     """G with lambda + lambda^{-1} replaced by the matrix ``z``."""
     zs = s + s.inv()
     zt = t + t.inv()
-    ident = ExactMatrix.identity(z.ctx, z.nrows)
-    return z * z - z.scale(zs * zt) + ident.scale(zs * zs + zt * zt - 4)
+    return (z * z - z.scale(zs * zt)).shift(zs * zs + zt * zt - 4)
 
 
 class HqModule:
@@ -446,9 +445,7 @@ class HqModule:
     @cached_property
     def t_inv(self) -> tuple[ExactMatrix, ...]:
         # (t_i - k_i)(t_i - k_i^{-1}) = 0 makes the inverse affine in t_i.
-        ident = ExactMatrix.identity(self.ctx, self.dim)
-        return tuple(ident.scale(ki + ki.inv()) - ti
-                     for ki, ti in zip(self.params.k, self.t))
+        return tuple((-ti).shift(ki + ki.inv()) for ki, ti in zip(self.params.k, self.t))
 
     @cached_property
     def X(self) -> ExactMatrix:
@@ -488,8 +485,7 @@ class HqModule:
         """(t0 - drop) / (keep - drop), the projection onto V(keep) along V(drop)."""
         if keep == drop:
             raise ValueError("t0-eigenprojections need k0 distinct from its inverse")
-        ident = ExactMatrix.identity(self.ctx, self.dim)
-        return (self.t[0] - ident.scale(drop)).scale((keep - drop).inv())
+        return self.t[0].shift(-drop).scale((keep - drop).inv())
 
     @cached_property
     def F_plus(self) -> ExactMatrix:
@@ -598,34 +594,30 @@ def build_module(xtype: XType, n: int, k: Sequence[FieldElement],
 
 def verify_hq_relations(m: HqModule) -> Report:
     """Check every defining relation of H_q as an exact matrix identity."""
-    ctx = m.ctx
-    ident = ExactMatrix.identity(ctx, m.dim)
-    zero = ExactMatrix.zeros(ctx, m.dim)
+    zero = ExactMatrix.zeros(m.ctx, m.dim)
     checks: list[Check] = []
 
-    def record(name: str, actual: ExactMatrix, expected: ExactMatrix) -> None:
-        res = actual - expected
+    def record(name: str, res: ExactMatrix) -> None:
+        """A check that the residual ``res`` (actual - expected) vanishes."""
         checks.append(Check(name, True) if res == zero else Check(name, False, res))
 
     for i in range(4):
-        record(f"t{i}-inverse-right", m.t[i] * m.t_inv[i], ident)
-        record(f"t{i}-inverse-left", m.t_inv[i] * m.t[i], ident)
+        record(f"t{i}-inverse-right", (m.t[i] * m.t_inv[i]).shift(-1))
+        record(f"t{i}-inverse-left", (m.t_inv[i] * m.t[i]).shift(-1))
         ki = m.params.k[i]
-        record(f"t{i}-quadratic",
-               (m.t[i] - ident.scale(ki)) * (m.t[i] - ident.scale(ki.inv())), zero)
+        record(f"t{i}-quadratic", m.t[i].shift(-ki) * m.t[i].shift(-ki.inv()))
     for i in range(4):
         central = m.t[i] + m.t_inv[i]
         for j in range(4):
-            record(f"central-t{i}-with-t{j}",
-                   central * m.t[j], m.t[j] * central)
-    qinv = ident.scale(m.params.q.inv())
+            record(f"central-t{i}-with-t{j}", central * m.t[j] - m.t[j] * central)
+    minus_qinv = -m.params.q.inv()
     prod = m.t[0] * m.t[1] * m.t[2] * m.t[3]
-    record("product-t0t1t2t3", prod, qinv)
-    for shift, name in ((1, "t1t2t3t0"), (2, "t2t3t0t1"), (3, "t3t0t1t2")):
-        rot = m.t[shift % 4]
+    record("product-t0t1t2t3", prod.shift(minus_qinv))
+    for start, name in ((1, "t1t2t3t0"), (2, "t2t3t0t1"), (3, "t3t0t1t2")):
+        rot = m.t[start]
         for off in range(1, 4):
-            rot = rot * m.t[(shift + off) % 4]
-        record(f"product-{name}", rot, qinv)
+            rot = rot * m.t[(start + off) % 4]
+        record(f"product-{name}", rot.shift(minus_qinv))
     return Report(tuple(checks))
 
 
@@ -658,7 +650,6 @@ def derived_elements(m: HqModule, with_projectors: bool = True) -> DerivedElemen
     ctx = m.ctx
     q = m.params.q
     k0, k1, k2, k3 = m.params.k
-    ident = ExactMatrix.identity(ctx, m.dim)
     X, Xi, Y = m.X, m.X_inv, m.Y
     G0, G2 = m.G[0], m.G[2]
     if X * G0 != G0 * Xi:
@@ -666,7 +657,7 @@ def derived_elements(m: HqModule, with_projectors: bool = True) -> DerivedElemen
     if X * G2 != G2.scale(int_pow(q, -2)) * Xi:
         raise VerificationError("G2 does not q-twist X")
     lhs = X * m.t[0] - m.t[0] * Xi
-    rhs = X.scale(k0 + k0.inv()) - ident.scale(k3 + k3.inv())
+    rhs = X.scale(k0 + k0.inv()).shift(-(k3 + k3.inv()))
     if lhs != rhs:
         raise VerificationError("the X-t0 commutation identity fails")
     if G0 * G0 != _g_matrix(X + Xi, k0, k3):
@@ -680,9 +671,9 @@ def derived_elements(m: HqModule, with_projectors: bool = True) -> DerivedElemen
     t0mix = m.t[0].scale(q.inv()) + m.t_inv[0].scale(q)
     scal = [ki + ki.inv() for ki in (k0, k1, k2, k3)]
     triples = (
-        (A, B, C, t0mix.scale(scal[1]) + ident.scale(scal[2] * scal[3])),
-        (B, C, A, t0mix.scale(scal[3]) + ident.scale(scal[1] * scal[2])),
-        (C, A, B, t0mix.scale(scal[2]) + ident.scale(scal[3] * scal[1])),
+        (A, B, C, t0mix.scale(scal[1]).shift(scal[2] * scal[3])),
+        (B, C, A, t0mix.scale(scal[3]).shift(scal[1] * scal[2])),
+        (C, A, B, t0mix.scale(scal[2]).shift(scal[3] * scal[1])),
     )
     for lead, p, r, rhs_num in triples:
         lhs = lead + ((p * r).scale(q) - (r * p).scale(q.inv())).scale(denom_inv)
@@ -692,7 +683,7 @@ def derived_elements(m: HqModule, with_projectors: bool = True) -> DerivedElemen
     if with_projectors:
         fp, fm = m.F_plus, m.F_minus
         zero = ExactMatrix.zeros(ctx, m.dim)
-        if fp * fp != fp or fm * fm != fm or fp * fm != zero or fp + fm != ident:
+        if fp * fp != fp or fm * fm != fm or fp * fm != zero or (fp + fm).shift(-1) != zero:
             raise VerificationError("t0-eigenprojections are not complementary idempotents")
     return DerivedElements(X, Y, A, B, C, m.G, fp, fm)
 
@@ -729,8 +720,7 @@ def is_feasible(m: HqModule) -> tuple[bool, Report]:
     n = m.params.n
     q = m.params.q
     k0 = m.params.k[0]
-    ident = ExactMatrix.identity(m.ctx, n + 1)
-    eig_dim = lambda mat, mu: n + 1 - rank(mat - ident.scale(mu))   # no basis needed
+    eig_dim = lambda mat, mu: n + 1 - rank(mat.shift(-mu))   # no basis needed
     xd = all(eig_dim(m.X, mu) == 1 for mu in m.mu)
     checks.append(Check("X-diagonalizable-simple-spectrum", xd))
     # route (a): the forbidden-membership table
@@ -1074,8 +1064,7 @@ def _gen_any_eigenvalue(mat: ExactMatrix) -> FieldElement:
     g^2 - s g + I = 0 it satisfies: s is the ratio of any matching nonzero
     entries of g^2 + I and g, and the eigenvalue solves x^2 - s x + 1 = 0."""
     n = mat.nrows
-    ident = ExactMatrix.identity(mat.ctx, n)
-    shifted = mat * mat + ident
+    shifted = (mat * mat).shift(1)
     s = None
     for i in range(n):
         for j in range(n):
@@ -1084,7 +1073,7 @@ def _gen_any_eigenvalue(mat: ExactMatrix) -> FieldElement:
                 break
         if s is not None:
             break
-    if s is None or mat * mat - mat.scale(s) + ident != ExactMatrix.zeros(mat.ctx, n):
+    if s is None or shifted - mat.scale(s) != ExactMatrix.zeros(mat.ctx, n):
         raise VerificationError("generator does not satisfy a reciprocal quadratic")
     root = sqrt_element(s * s - 4)
     if root is None:
@@ -1381,14 +1370,10 @@ def _ds_root(radicand: FieldElement, sign: Optional[str]) -> FieldElement:
         root = FieldElement(FieldContext(disc), Fraction(0), scale)
     if not root:
         raise VerificationError("DS radicand is zero")
-    other = -root
-    if sign == "plus":
-        pos = root if (root.rat > 0 or (root.rat == 0 and root.irr > 0)) else other
-        return pos
-    if sign == "minus":
-        pos = root if (root.rat > 0 or (root.rat == 0 and root.irr > 0)) else other
-        return -pos
-    return min(root, other, key=lambda e: e.canonical_str())
+    if sign not in ("plus", "minus"):
+        return min(root, -root, key=lambda e: e.canonical_str())
+    pos = root if (root.rat > 0 or (root.rat == 0 and root.irr > 0)) else -root
+    return pos if sign == "plus" else -pos
 
 
 # ---------------------------------------------------------------------------

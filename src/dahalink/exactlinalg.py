@@ -154,6 +154,14 @@ class ExactMatrix:
         c = self.ctx.lift(c)
         return ExactMatrix(self.ctx, [[c * a for a in row] for row in self.rows])
 
+    def shift(self, c) -> "ExactMatrix":
+        """``M + cI``: only the diagonal changes."""
+        if not self.is_square:
+            raise ValueError("shift of a non-square matrix")
+        c = self.ctx.lift(c)
+        return ExactMatrix(self.ctx, [row[:i] + (row[i] + c,) + row[i + 1:]
+                                      for i, row in enumerate(self.rows)])
+
     def apply(self, vec: Sequence[FieldElement]) -> Vector:
         """Matrix-vector product (vector as a column)."""
         if len(vec) != self.ncols:
@@ -346,7 +354,7 @@ def char_poly(m: ExactMatrix) -> list[FieldElement]:
         MN = m * N
         a = -(MN.trace() / k)
         coeffs.append(a)
-        N = MN + ExactMatrix.identity(ctx, n).scale(a)
+        N = MN.shift(a)
     coeffs.reverse()              # now ascending: c_0 .. c_{n-1}, 1
     return coeffs
 

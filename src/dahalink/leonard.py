@@ -51,7 +51,6 @@ from .exactlinalg import (
     is_irreducible_tridiagonal,
     is_lower_bidiagonal,
     is_upper_bidiagonal,
-    rank,
 )
 
 __all__ = [
@@ -329,13 +328,15 @@ def _field_roots(coeffs: Sequence[FieldElement]) -> Optional[list[FieldElement]]
 # ---------------------------------------------------------------------------
 
 
-def _distinct_eigenvalues(m: ExactMatrix,
-                          candidates: Optional[Sequence[FieldElement]]) -> Optional[list[FieldElement]]:
-    """The full multiplicity-free spectrum of ``m``, or None.
+def _distinct_eigenvalues(m: ExactMatrix, candidates: Optional[Sequence[FieldElement]]
+                          ) -> Optional[tuple[list[FieldElement], list[Vector]]]:
+    """The full multiplicity-free spectrum of ``m`` and an eigenvector for
+    each eigenvalue, or None.
 
     With candidates given, verifies they are distinct, exhaust the
     dimension, and each has a 1-dimensional eigenspace.  Without, extracts
-    characteristic-polynomial roots within the field.
+    characteristic-polynomial roots within the field.  One elimination per
+    eigenvalue both proves its eigenspace a line and yields its vector.
     """
     n = m.nrows
     if candidates is not None:
@@ -349,11 +350,13 @@ def _distinct_eigenvalues(m: ExactMatrix,
         evs = sorted(set(roots), key=lambda e: e.canonical_str())
         if len(evs) != n:
             return None
-    ident = ExactMatrix.identity(m.ctx, n)
-    # the eigenspace of mu has dimension n - rank(M - mu I): no basis is built
-    if any(n - rank(m - ident.scale(mu)) != 1 for mu in evs):
-        return None
-    return evs
+    vecs = []
+    for mu in evs:
+        es = eigenspace(m, mu)
+        if es.dim != 1:
+            return None
+        vecs.append(es.basis[0])
+    return evs, vecs
 
 
 def _support_path_order(m: ExactMatrix) -> Optional[list[int]]:
@@ -385,16 +388,11 @@ def _support_path_order(m: ExactMatrix) -> Optional[list[int]]:
     return order if len(set(order)) == n else None
 
 
-def _ordering_via_eigenbasis(m: ExactMatrix, diag: ExactMatrix,
-                             evs: Sequence[FieldElement]) -> Optional[list[FieldElement]]:
-    """Standard ordering of ``diag``'s eigenvalues making ``m`` irreducible
-    tridiagonal in a ``diag``-eigenbasis, or None."""
-    vecs = []
-    for mu in evs:
-        es = eigenspace(diag, mu)
-        if es.dim != 1:
-            return None
-        vecs.append(list(es.basis[0]))
+def _ordering_via_eigenbasis(m: ExactMatrix, evs: Sequence[FieldElement],
+                             vecs: Sequence[Vector]) -> Optional[list[FieldElement]]:
+    """Standard ordering of the eigenvalues ``evs`` (eigenvectors ``vecs``)
+    of another operator making ``m`` irreducible tridiagonal in that
+    eigenbasis, or None."""
     rep = change_of_basis(m, ExactMatrix.from_cols(m.ctx, vecs))
     order = _support_path_order(rep)
     if order is None:
@@ -430,14 +428,14 @@ def recognize_leonard_pair(
     """
     if not (A.is_square and Astar.is_square and A.shape == Astar.shape):
         raise ValueError("matrices must be square and of equal size")
-    evs = _distinct_eigenvalues(A, candidates)
-    evs_star = _distinct_eigenvalues(Astar, candidates_star)
-    if evs is None or evs_star is None:
+    spec = _distinct_eigenvalues(A, candidates)
+    spec_star = _distinct_eigenvalues(Astar, candidates_star)
+    if spec is None or spec_star is None:
         return None
     # A irreducible tridiagonal in an A*-eigenbasis fixes the theta* order;
     # A* in an A-eigenbasis fixes the theta order.
-    theta_star = _ordering_via_eigenbasis(A, Astar, evs_star)
-    theta = _ordering_via_eigenbasis(Astar, A, evs)
+    theta_star = _ordering_via_eigenbasis(A, *spec_star)
+    theta = _ordering_via_eigenbasis(Astar, *spec)
     if theta is None or theta_star is None:
         return None
     return tuple(_lex_smaller(theta)), tuple(_lex_smaller(theta_star))
@@ -480,22 +478,22 @@ def split_sequence(
     d = n - 1
     if len(theta_order) != n or len(theta_star_order) != n:
         raise ValueError("ordering length must match the pair size")
-    ident = ExactMatrix.identity(ctx, n)
     es = eigenspace(S, theta_star_order[0])
     if es.dim != 1:
         raise NotStandardOrderingError("theta*_0 eigenspace is not a line")
+    # (M - mu) v as M v - mu v: no shifted matrix is built
+    step = lambda M, mu, v: tuple(x - ctx.lift(mu) * y for x, y in zip(M.apply(v), v))
     vecs: list[Vector] = [es.basis[0]]
     for r in range(d):
-        nxt = (A - ident.scale(theta_order[r])).apply(vecs[r])
+        nxt = step(A, theta_order[r], vecs[r])
         if not any(nxt):
             raise NotStandardOrderingError(f"split chain dies at step {r}")
         vecs.append(nxt)
-    tail = (A - ident.scale(theta_order[d])).apply(vecs[d])
-    if any(tail):
+    if any(step(A, theta_order[d], vecs[d])):
         raise NotStandardOrderingError("split chain does not terminate")
     phi: list[FieldElement] = []
     for r in range(1, n):
-        w = (S - ident.scale(theta_star_order[r])).apply(vecs[r])
+        w = step(S, theta_star_order[r], vecs[r])
         f = _proportionality(w, vecs[r - 1])
         if not f:
             raise NotStandardOrderingError(f"phi_{r} vanishes")
@@ -611,18 +609,6 @@ def _phi_formula(a: FieldElement, b: FieldElement, c: FieldElement,
             * (qe(-r) - a * b * ci * qe(r - d - 1)))
 
 
-def _phi2_formula(a: FieldElement, b: FieldElement, c: FieldElement,
-                  d: int, q: FieldElement, r: int) -> FieldElement:
-    """Second split sequence entry varphi_r for Huang data (a, b, c, d)."""
-    ai, bi, ci = a.inv(), b.inv(), c.inv()
-    qe = lambda e: int_pow(q, e)
-    return (a * bi * qe(d + 1)
-            * (qe(r) - qe(-r))
-            * (qe(r - d - 1) - qe(d - r + 1))
-            * (qe(-r) - ai * b * c * qe(r - d - 1))
-            * (qe(-r) - ai * b * ci * qe(r - d - 1)))
-
-
 def huang_data_from_array(pa: ParameterArray, q: FieldElement) -> Optional[HuangData]:
     """Huang data of a q-Racah parameter array, or None.
 
@@ -659,10 +645,11 @@ def huang_data_from_array(pa: ParameterArray, q: FieldElement) -> Optional[Huang
     c = (s + root) * FieldElement(ctx, Fraction(1, 2))
     if not c:
         return None
+    ai = a.inv()        # varphi_r(a, b, c) = phi_r(a^{-1}, b, c)
     for r in range(1, d + 1):
         if _phi_formula(a, b, c, d, qq, r) != pa.phi[r - 1]:
             return None
-        if _phi2_formula(a, b, c, d, qq, r) != pa.phi2[r - 1]:
+        if _phi_formula(ai, b, c, d, qq, r) != pa.phi2[r - 1]:
             return None
     return HuangData(a, b, c, d)
 
@@ -764,17 +751,16 @@ def askey_wilson_third(P: LeonardPair, h: HuangData, q: FieldElement) -> ExactMa
     """
     ctx = common_context(h.a, h.b, h.c, q, P.A.ctx.one())
     a, b, c, qq = (ctx.lift(x) for x in (h.a, h.b, h.c, q))
-    A, S = P.A, P.Astar
-    n = A.nrows
-    ident = ExactMatrix.identity(ctx, n)
+    A, S = (ExactMatrix(ctx, M.rows) for M in (P.A, P.Astar))
     denom_inv = (qq * qq - (qq * qq).inv()).inv()
     comm = lambda M, N: (M * N).scale(qq) - (N * M).scale(qq.inv())
     gamma_a = _aw_scalar(a, b, c, h.d, qq)
     gamma_b = _aw_scalar(b, c, a, h.d, qq)
     gamma_c = _aw_scalar(c, a, b, h.d, qq)
-    Ae = ident.scale(gamma_c) - comm(A, S).scale(denom_inv)
-    if A + comm(S, Ae).scale(denom_inv) != ident.scale(gamma_a):
+    Ae = comm(A, S).scale(-denom_inv).shift(gamma_c)
+    zero = ExactMatrix.zeros(ctx, A.nrows)
+    if (A + comm(S, Ae).scale(denom_inv)).shift(-gamma_a) != zero:
         raise VerificationError("first Askey-Wilson relation fails")
-    if S + comm(Ae, A).scale(denom_inv) != ident.scale(gamma_b):
+    if (S + comm(Ae, A).scale(denom_inv)).shift(-gamma_b) != zero:
         raise VerificationError("second Askey-Wilson relation fails")
     return Ae

@@ -215,6 +215,32 @@ def test_link_sign_flag(capsys, tmp_path):
     assert rep["module"]["k"][0]["rat"] == "3"
 
 
+def test_main_calls_in_one_process_behave_as_fresh_runs(capsys, tmp_path, monkeypatch):
+    import dahalink.cli as cli
+
+    signs = []
+    original = cli.link_construct
+
+    def spying(h, h2, q, sign):
+        signs.append(sign)
+        return original(h, h2, q, sign)
+
+    monkeypatch.setattr(cli, "link_construct", spying)
+    h1 = write_huang(tmp_path, "h1.json", 30, "1/140", 42, 1)
+    h2 = write_huang(tmp_path, "h2.json", 60, "1/70", 84, 0)
+    code, first = run(capsys, "link", h1, h2, "--construct")
+    assert code == 0
+    code, rep = run(capsys, "link", h1, h2, "--construct", "--sign", "plus")
+    assert code == 0 and rep["module"]["k"][0]["rat"] == "3"
+    code, rep = run(capsys, "link", h1, h2, "--sign", "sideways")
+    assert code == 1 and "error" in rep
+    code, last = run(capsys, "link", h1, h2, "--construct")
+    assert code == 0 and signs == [None, "plus", None]
+    for rep in (first, last):
+        rep.pop("wall_time_s")
+    assert last == first
+
+
 def test_link_not_linked(capsys, tmp_path):
     h1 = write_huang(tmp_path, "h1.json", 3, 5, 7, 1)
     h2 = write_huang(tmp_path, "h2.json", 11, 13, 3, 1)

@@ -74,6 +74,14 @@ def test_arithmetic():
     assert a.apply([QQ.rational(1), QQ.rational(1)]) == (QQ.rational(3), QQ.rational(7))
 
 
+def test_shift_changes_only_the_diagonal():
+    a = M([[1, 2], [3, 4]])
+    assert a.shift(QQ.rational(-2)) == M([[-1, 2], [3, 2]])
+    assert a.shift(0) == a
+    with pytest.raises(ValueError):
+        M([[1, 2]]).shift(1)
+
+
 def test_product_with_zero_row_and_zero_column():
     a = M([[1, 2, 0], [0, 0, 0], [3, 0, 4]])
     b = M([[0, 5, 1], [0, 0, 2], [0, 6, 0]])

@@ -191,6 +191,28 @@ def test_recognize_rejects_non_leonard_pairs():
     assert recognize_leonard_pair(c, c) is None
 
 
+def test_recognition_eliminates_once_per_eigenvalue(monkeypatch):
+    import dahalink.leonard as leonard
+
+    d = 3
+    pair = build_pair_from_huang(hd(3, 5, 7, d), Q2)
+    theta = ladder(QQ.rational(3), d, Q2)
+    theta_star = ladder(QQ.rational(5), d, Q2)
+    eig_calls, rank_calls = [], []
+    original = leonard.eigenspace
+
+    def counting(m, mu):
+        eig_calls.append(m)
+        return original(m, mu)
+
+    monkeypatch.setattr(leonard, "eigenspace", counting)
+    monkeypatch.setattr(leonard, "rank", lambda m: rank_calls.append(m), raising=False)
+    assert recognize_leonard_pair(pair.A, pair.Astar, theta, theta_star) is not None
+    assert sum(m is pair.A for m in eig_calls) == d + 1
+    assert sum(m is pair.Astar for m in eig_calls) == d + 1
+    assert len(eig_calls) == 2 * (d + 1) and rank_calls == []
+
+
 def test_parameter_arrays_structure():
     pair = build_pair_from_huang(hd(3, 5, 7, 2), Q2)
     theta = tuple(ladder(QQ.rational(3), 2, Q2))

@@ -1,0 +1,145 @@
+"""Exact linear algebra against sympy's ``DomainMatrix`` as an oracle.
+
+``ExactMatrix.shift``, ``rank``, the dimension of ``eigenspace``,
+``char_poly`` and ``ExactMatrix.inverse`` are compared with sympy over Q and
+Q(sqrt 2) on small matrices drawn by hypothesis.  A drawn matrix is
+``U V + lam I`` with ``U`` n x k and ``V`` k x n, so for k < n it has the
+eigenvalue ``lam`` with an eigenspace of dimension at least n - k, and
+rank drops when ``lam`` is zero.  Sympy and hypothesis are test
+dependencies only; the examples are derandomized, so every run draws the
+same matrices.
+"""
+
+from fractions import Fraction
+
+import pytest
+
+from dahalink.exactfield import QQ, FieldContext
+from dahalink.exactlinalg import (
+    ExactMatrix,
+    SingularMatrixError,
+    char_poly,
+    eigenspace,
+    rank,
+)
+
+sp = pytest.importorskip("sympy")
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import HealthCheck, given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+from sympy.polys.matrices import DomainMatrix  # noqa: E402
+
+Q_SQRT2 = FieldContext(2)
+FIELDS = pytest.mark.parametrize("ctx", [QQ, Q_SQRT2], ids=["Q", "Q(sqrt 2)"])
+ORACLE = settings(max_examples=40, derandomize=True, deadline=None, database=None,
+                  suppress_health_check=[HealthCheck.too_slow])
+
+_small = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+_entry_part = st.one_of(st.just(Fraction(0)), _small)
+
+
+def _elements(ctx):
+    if ctx.disc == 1:
+        return _entry_part.map(ctx.from_fraction)
+    irr = st.one_of(st.just(Fraction(0)), st.just(Fraction(0)), _small)
+    return st.builds(ctx.element, _entry_part, irr)
+
+
+@st.composite
+def _cases(draw, ctx):
+    """(M, lam, mu): M = U V + lam I, and mu an arbitrary field element."""
+    elem = _elements(ctx)
+    n = draw(st.integers(1, 5))
+    k = draw(st.integers(0, n))
+    lam = draw(st.one_of(st.just(ctx.zero()), elem))
+    mu = draw(elem)
+    rows = [[ctx.zero()] * n for _ in range(n)]
+    if k:
+        u = [[draw(elem) for _ in range(k)] for _ in range(n)]
+        v = [[draw(elem) for _ in range(n)] for _ in range(k)]
+        rows = [[sum((u[i][t] * v[t][j] for t in range(k)), ctx.zero()) for j in range(n)]
+                for i in range(n)]
+    for i in range(n):
+        rows[i][i] = rows[i][i] + lam
+    return ExactMatrix(ctx, rows), lam, mu
+
+
+def _domain(ctx):
+    return sp.QQ if ctx.disc == 1 else sp.QQ.algebraic_field(sp.sqrt(ctx.disc))
+
+
+def _to_oracle(dom, x):
+    rat = sp.QQ(x.rat.numerator, x.rat.denominator)
+    if dom == sp.QQ:
+        assert x.irr == 0
+        return rat
+    return dom.new([sp.QQ(x.irr.numerator, x.irr.denominator), rat])
+
+
+def _from_oracle(dom, v):
+    """(rational part, coefficient of sqrt D) of a sympy domain element."""
+    coeffs = [v] if dom == sp.QQ else v.to_list()
+    coeffs = [Fraction(int(c.numerator), int(c.denominator)) for c in coeffs]
+    coeffs = [Fraction(0)] * (2 - len(coeffs)) + coeffs
+    return coeffs[1], coeffs[0]
+
+
+def _oracle_matrix(m):
+    dom = _domain(m.ctx)
+    return DomainMatrix([[_to_oracle(dom, x) for x in row] for row in m.rows], m.shape, dom)
+
+
+def _pairs(m):
+    return [[(x.rat, x.irr) for x in row] for row in m.rows]
+
+
+def _oracle_pairs(dm):
+    return [[_from_oracle(dm.domain, v) for v in row] for row in dm.to_list()]
+
+
+def _oracle_shift(dm, c):
+    return dm + DomainMatrix.eye(dm.shape[0], dm.domain) * _to_oracle(dm.domain, c)
+
+
+@FIELDS
+@ORACLE
+@given(data=st.data())
+def test_shift_matches_oracle(ctx, data):
+    m, lam, mu = data.draw(_cases(ctx))
+    dm = _oracle_matrix(m)
+    for c in (mu, -lam, ctx.zero()):
+        assert _pairs(m.shift(c)) == _oracle_pairs(_oracle_shift(dm, c))
+
+
+@FIELDS
+@ORACLE
+@given(data=st.data())
+def test_rank_and_eigenspace_dimension_match_oracle(ctx, data):
+    m, lam, mu = data.draw(_cases(ctx))
+    dm = _oracle_matrix(m)
+    assert rank(m) == dm.rank()
+    for c in (lam, mu):
+        assert eigenspace(m, c).dim == _oracle_shift(dm, -c).nullspace().shape[0]
+
+
+@FIELDS
+@ORACLE
+@given(data=st.data())
+def test_char_poly_matches_oracle(ctx, data):
+    m, _, _ = data.draw(_cases(ctx))
+    dm = _oracle_matrix(m)
+    ours = [(c.rat, c.irr) for c in char_poly(m)]
+    assert ours == [_from_oracle(dm.domain, c) for c in reversed(dm.charpoly())]
+
+
+@FIELDS
+@ORACLE
+@given(data=st.data())
+def test_inverse_matches_oracle(ctx, data):
+    m, _, _ = data.draw(_cases(ctx))
+    dm = _oracle_matrix(m)
+    if not dm.det():
+        with pytest.raises(SingularMatrixError):
+            m.inverse()
+    else:
+        assert _pairs(m.inverse()) == _oracle_pairs(dm.inv())
