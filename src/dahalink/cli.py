@@ -57,7 +57,6 @@ from .daha import (
     sample_params,
     twist,
     validate_params,
-    verify_hq_relations,
 )
 
 EXIT_OK = 0
@@ -146,8 +145,7 @@ def _module_from_json(data: dict) -> tuple[HqModule, Report]:
         raise ValueError("; ".join(f"{xtype.value} {b}" for b in bad))
     if "t" not in data:
         module = build_module(xtype, n, k, q)
-        report = verify_hq_relations(module)
-        return module, _with_ladder_check(module, report)
+        return module, _with_ladder_check(module, module.relations)
     mu = eigenvalue_ladder(xtype, n, k, q)
     params = HqParams(q, n, k)
     ctx = params.ctx
@@ -158,7 +156,7 @@ def _module_from_json(data: dict) -> tuple[HqModule, Report]:
     if any(m.shape != (n + 1, n + 1) for m in t) or len(t) != 4:
         raise ValueError("generator matrices must be four (n+1)x(n+1) blocks")
     module = HqModule(params, xtype, t, mu)
-    return module, _with_ladder_check(module, verify_hq_relations(module))
+    return module, _with_ladder_check(module, module.relations)
 
 
 def _with_ladder_check(module: HqModule, report: Report) -> Report:
@@ -200,7 +198,7 @@ def cmd_construct(args: argparse.Namespace, started: float) -> int:
         return _finish("construct", payload, [], started, args.out,
                        EXIT_VALIDATION)
     module = build_module(xtype, n, k, q)
-    report = _with_ladder_check(module, verify_hq_relations(module))
+    report = _with_ladder_check(module, module.relations)
     code = EXIT_OK if report.ok else EXIT_VALIDATION
     return _finish("construct", {"module": module.to_json()}, report.checks,
                    started, args.out, code)

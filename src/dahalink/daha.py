@@ -60,6 +60,7 @@ from .leonard import (
     HuangData,
     LeonardPair,
     VerificationError,
+    _walk_path,
     check_huang_admissible,
     common_context,
     huang_data_from_array,
@@ -128,21 +129,28 @@ class _XTypeRow(NamedTuple):
     ``solo`` is the slot fixed by the defining equation
     k_solo^2 = q^{-n-1} (None for DS); ``case`` is the link case row a
     module of this type realizes; ``abc`` are the slots carrying the Huang
-    scalars (a, b, c) of the restricted pairs."""
+    scalars (a, b, c) of the restricted pairs.  The e-scalars
+    (:func:`_e_scalars`) are 1/((1 - q^r)(1 - k_s^2 q^r)) on even r and
+    1/((1 - K q^r)(1 - K k_i^{-2} q^r)) on odd r, K = k0 k1 k2 k3, with
+    s = ``e_sq`` and i = ``e_inv``; with ``e_sign`` = (u, v) they are also
+    negated and multiplied by k_u^{-2} on even r and by k_v^2 on odd r."""
 
     x_base: tuple[int, int]
     y_base: tuple[int, int]
     solo: Optional[int]
     case: str
     abc: tuple[int, int, int]
+    e_sq: int
+    e_inv: int
+    e_sign: Optional[tuple[int, int]]
 
 
 _XTYPE_TABLE = {
-    XType.DS: _XTypeRow((0, 3), (0, 1), None, "ii", (1, 3, 2)),
-    XType.DDa: _XTypeRow((0, 3), (0, 1), 0, "i", (1, 3, 2)),
-    XType.DDb: _XTypeRow((0, 3), (2, 3), 3, "iv", (2, 0, 1)),
-    XType.SSa: _XTypeRow((1, 2), (0, 1), 1, "iii", (0, 2, 3)),
-    XType.SSb: _XTypeRow((1, 2), (2, 3), 2, "v", (3, 1, 0)),
+    XType.DS: _XTypeRow((0, 3), (0, 1), None, "ii", (1, 3, 2), 0, 2, None),
+    XType.DDa: _XTypeRow((0, 3), (0, 1), 0, "i", (1, 3, 2), 0, 2, None),
+    XType.DDb: _XTypeRow((0, 3), (2, 3), 3, "iv", (2, 0, 1), 3, 1, (0, 2)),
+    XType.SSa: _XTypeRow((1, 2), (0, 1), 1, "iii", (0, 2, 3), 1, 3, (2, 0)),
+    XType.SSb: _XTypeRow((1, 2), (2, 3), 2, "v", (3, 1, 0), 2, 0, None),
 }
 
 
@@ -368,30 +376,17 @@ def x_diagram(mu: Sequence[FieldElement], q: FieldElement) -> XDiagram:
     if m == 1:
         return XDiagram(tuple(mu), (0,), tuple(singles), tuple(doubles),
                         tuple(loops), "DS")
-    degs = [len(a) for a in adj]
-    ends = [i for i in range(m) if degs[i] == 1]
-    if max(degs) > 2 or len(ends) != 2 or sum(degs) != 2 * (m - 1):
+    walk = _walk_path(adj)
+    if walk is None:
         raise ValueError("reduced diagram is not a path")
-    walks = []
-    for start in ends:
-        order = [start]
-        prev = -1
-        while len(order) < m:
-            nxt = [v for v in adj[order[-1]] if v != prev]
-            if len(nxt) != 1:
-                raise ValueError("reduced diagram is not a path")
-            prev = order[-1]
-            order.append(nxt[0])
-        walks.append(order)
-    first_kind = [kind[w[0], w[1]] for w in walks]
-    last_kind = [kind[w[-2], w[-1]] for w in walks]
-    if {first_kind[0], last_kind[0]} == {"single", "double"}:
+    first, last = kind[walk[0], walk[1]], kind[walk[-2], walk[-1]]
+    if {first, last} == {"single", "double"}:
         pattern = "DS"
-        order = walks[0] if first_kind[0] == "double" else walks[1]
+        order = walk if first == "double" else walk[::-1]
     else:
-        pattern = "DD" if first_kind[0] == "double" else "SS"
+        pattern = "DD" if first == "double" else "SS"
         serial = lambda w: json.dumps([mu[i].to_json() for i in w])
-        order = min(walks, key=serial)
+        order = min(walk, walk[::-1], key=serial)
     return XDiagram(tuple(mu), tuple(order), tuple(singles), tuple(doubles),
                     tuple(loops), pattern)
 
@@ -498,6 +493,11 @@ class HqModule:
         return self._t0_projector(k0.inv(), k0)
 
     @cached_property
+    def relations(self) -> "Report":
+        """:func:`verify_hq_relations` of this module, evaluated once."""
+        return verify_hq_relations(self)
+
+    @cached_property
     def feasibility(self) -> tuple[bool, "Report"]:
         """:func:`is_feasible` of this module, evaluated once."""
         return is_feasible(self)
@@ -583,7 +583,7 @@ def build_module(xtype: XType, n: int, k: Sequence[FieldElement],
 
     t = tuple(ExactMatrix(ctx, rows[i]) for i in range(4))
     module = HqModule(HqParams(qq, n, kk), xtype, t, mu)
-    report = verify_hq_relations(module)
+    report = module.relations
     if not report.ok:
         raise VerificationError(
             "constructed module fails relations: " + ", ".join(report.failures()))
@@ -769,28 +769,20 @@ class UBasis:
 
 def _e_scalars(m: HqModule) -> list[FieldElement]:
     """The normalization scalars e_0..e_n (e_0 = 1)."""
-    k0, k1, k2, k3 = m.params.k
+    k = m.params.k
+    row = m.xtype.row
     qe = m.params.qe
     one = m.ctx.one()
+    big_k = k[0] * k[1] * k[2] * k[3]
+    sq, inv_sq = k[row.e_sq] * k[row.e_sq], (k[row.e_inv] * k[row.e_inv]).inv()
     out = [one]
     for r in range(1, m.params.n + 1):
-        even = r % 2 == 0
-        if m.xtype in (XType.DS, XType.DDa):
-            val = ((one - qe(r)) * (one - k0 * k0 * qe(r))).inv() if even else \
-                  ((one - k0 * k1 * k2 * k3 * qe(r))
-                   * (one - k0 * k1 * k2.inv() * k3 * qe(r))).inv()
-        elif m.xtype is XType.DDb:
-            val = -(k0 * k0 * (one - qe(r)) * (one - k3 * k3 * qe(r))).inv() if even else \
-                  -(k2 * k2) * ((one - k0 * k1 * k2 * k3 * qe(r))
-                                * (one - k0 * k1.inv() * k2 * k3 * qe(r))).inv()
-        elif m.xtype is XType.SSa:
-            val = -(k2 * k2 * (one - qe(r)) * (one - k1 * k1 * qe(r))).inv() if even else \
-                  -(k0 * k0) * ((one - k0 * k1 * k2 * k3 * qe(r))
-                                * (one - k0 * k1 * k2 * k3.inv() * qe(r))).inv()
-        else:  # SSb
-            val = ((one - qe(r)) * (one - k2 * k2 * qe(r))).inv() if even else \
-                  ((one - k0 * k1 * k2 * k3 * qe(r))
-                   * (one - k0.inv() * k1 * k2 * k3 * qe(r))).inv()
+        odd = r % 2
+        lead = big_k * qe(r) if odd else qe(r)
+        val = ((one - lead) * (one - lead * (inv_sq if odd else sq))).inv()
+        if row.e_sign is not None:
+            kp = k[row.e_sign[odd]] * k[row.e_sign[odd]]
+            val = -val * (kp if odd else kp.inv())
         out.append(val)
     return out
 
@@ -801,9 +793,9 @@ def u_basis(m: HqModule) -> UBasis:
     u_0 spans the first X-eigenspace; u_r = u_{r-1} - beta_{r-1} W u_{r-1}
     with W = Y on single-bond steps and Y^{-1} on double-bond steps; the
     same recursion one step past the end must give zero.  In this basis Y,
-    Y^{-1}, and A are lower tridiagonal with the predicted Y-diagonal;
-    after rescaling by the e_r products, X, X^{-1}, and B are upper
-    tridiagonal.
+    Y^{-1}, and A are lower tridiagonal with the predicted Y-diagonal, and
+    X, X^{-1}, and B upper tridiagonal, all from one elimination; so they
+    stay after rescaling by the e_r products.
     """
     n = m.params.n
     ctx = m.ctx
@@ -820,12 +812,12 @@ def u_basis(m: HqModule) -> UBasis:
     if any(vecs[n + 1]):
         raise VerificationError("the flattening recursion does not terminate")
     cols = vecs[:n + 1]
-    p = ExactMatrix.from_cols(ctx, [list(v) for v in cols])
+    p = ExactMatrix.from_cols(ctx, cols)
     try:
-        reps = change_of_basis((m.Y, m.Y_inv, m.A), p)
+        reps = change_of_basis((m.Y, m.Y_inv, m.A, m.X, m.X_inv, m.B), p)
     except SingularMatrixError:
         raise VerificationError("the flattening vectors are linearly dependent") from None
-    if not all(is_lower_tridiagonal(r) for r in reps):
+    if not all(is_lower_tridiagonal(r) for r in reps[:3]):
         raise VerificationError("Y, Y^{-1}, A are not lower tridiagonal in the u-basis")
     for r, val in enumerate(_y_diagonal(m)):
         if reps[0].rows[r][r] != val:
@@ -838,10 +830,11 @@ def u_basis(m: HqModule) -> UBasis:
         if not acc:
             raise VerificationError("a normalization scalar vanished")
         scaled.append([acc * x for x in cols[r]])
-    ps = ExactMatrix.from_cols(ctx, scaled)
-    if not all(is_upper_tridiagonal(r) for r in change_of_basis((m.X, m.X_inv, m.B), ps)):
+    # the rescaling multiplies entry (i, j) by a nonzero ratio, so the
+    # shape on u' is the shape on u
+    if not all(is_upper_tridiagonal(r) for r in reps[3:]):
         raise VerificationError("X, X^{-1}, B are not upper tridiagonal after rescaling")
-    return UBasis(p, tuple(beta), tuple(e), ps)
+    return UBasis(p, tuple(beta), tuple(e), ExactMatrix.from_cols(ctx, scaled))
 
 
 def _t0_indices(xtype: XType, n: int) -> tuple[list[int], list[int]]:
@@ -872,18 +865,13 @@ def t0_split(m: HqModule) -> tuple[list[Vector], list[Vector]]:
     plus_idx, minus_idx = _t0_indices(m.xtype, n)
     plus = [fp.apply(uvec[i]) for i in plus_idx]
     minus = [fm.apply(uvec[i]) for i in minus_idx]
-    for name, vs, proj in (("plus", plus, fp), ("minus", minus, fm)):
+    k0 = m.params.k[0]
+    for name, vs, val in (("plus", plus, k0), ("minus", minus, k0.inv())):
         if any(not any(v) for v in vs):
             raise VerificationError(f"a projected {name}-basis vector vanished")
         Subspace(m.ctx, n + 1, vs)        # independence
-    k0 = m.params.k[0]
-    for v in plus:
-        if m.t[0].apply(v) != tuple(k0 * x for x in v):
-            raise VerificationError("plus-basis vector is not a t0-eigenvector")
-    k0i = k0.inv()
-    for v in minus:
-        if m.t[0].apply(v) != tuple(k0i * x for x in v):
-            raise VerificationError("minus-basis vector is not a t0-eigenvector")
+        if any(m.t[0].apply(v) != tuple(val * x for x in v) for v in vs):
+            raise VerificationError(f"{name}-basis vector is not a t0-eigenvector")
     return plus, minus
 
 
@@ -1052,7 +1040,7 @@ def _recognize_module(t: Sequence[ExactMatrix], q: FieldElement,
     basis = ExactMatrix.from_cols(ctx, [list(vecs[i]) for i in order])
     new_t = tuple(change_of_basis(t, basis))
     module = HqModule(HqParams(q, n, k), xtype, new_t, mu)
-    report = verify_hq_relations(module)
+    report = module.relations
     if not report.ok:
         raise VerificationError("twisted module fails relations: "
                                 + ", ".join(report.failures()))

@@ -19,15 +19,12 @@ __all__ = [
     "SingularMatrixError",
     "NotInvariantError",
     "Vector",
-    "solve",
     "kernel_basis",
     "eigenspace",
     "rank",
     "char_poly",
     "change_of_basis",
-    "restrict",
     "restrict_to_basis",
-    "is_diagonal",
     "is_tridiagonal",
     "is_irreducible_tridiagonal",
     "is_upper_bidiagonal",
@@ -303,20 +300,6 @@ def rank(m: ExactMatrix) -> int:
     return len(pivots)
 
 
-def solve(m: ExactMatrix, b: Sequence[FieldElement]) -> Optional[Vector]:
-    """One solution of ``M x = b`` (free variables set to zero), or None."""
-    if len(b) != m.nrows:
-        raise ValueError("rhs length mismatch")
-    red, pivots = _row_reduce([list(row) + [bb] for row, bb in zip(m.rows, b)])
-    n = m.ncols
-    if n in pivots:               # a row 0 = 1: inconsistent
-        return None
-    x = [m.ctx.zero()] * n
-    for i, c in enumerate(pivots):
-        x[c] = red[i][n]
-    return tuple(x)
-
-
 def kernel_basis(m: ExactMatrix) -> "Subspace":
     """The null space of ``M`` as a subspace of the column space."""
     red, pivots = _row_reduce([list(row) for row in m.rows])
@@ -449,11 +432,6 @@ def restrict_to_basis(m: Union[ExactMatrix, Sequence[ExactMatrix]],
     return out[0] if isinstance(m, ExactMatrix) else out
 
 
-def restrict(m: ExactMatrix, w: Subspace) -> ExactMatrix:
-    """Restriction of ``M`` to an invariant subspace, in its canonical basis."""
-    return restrict_to_basis(m, [list(b) for b in w.basis])
-
-
 # ---------------------------------------------------------------------------
 # Shape predicates
 # ---------------------------------------------------------------------------
@@ -463,10 +441,6 @@ def _all_entries(m: ExactMatrix, keep: Callable[[int, int], bool]) -> bool:
     """True iff every entry outside the kept region vanishes."""
     return all(not m.rows[i][j]
                for i in range(m.nrows) for j in range(m.ncols) if not keep(i, j))
-
-
-def is_diagonal(m: ExactMatrix) -> bool:
-    return m.is_square and _all_entries(m, lambda i, j: i == j)
 
 
 def is_tridiagonal(m: ExactMatrix) -> bool:

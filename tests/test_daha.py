@@ -327,6 +327,29 @@ def test_u_basis_termination_scalars():
     assert len(ub.beta) == 4 and len(ub.e) == 4
 
 
+# e_0..e_n of one feasible module per X-type at q = 2, computed type by type
+# from the closed forms.  No shape check can catch a wrong e-scalar: every
+# nonzero rescaling keeps the shapes.
+E_SCALARS = (
+    (XType.DS, 6, K((1, 11), 7, (1, 3), (33, 896)),
+     "1 4096/3465 -121/351 256/105 -121/1575 -16/15 -121/3591"),
+    (XType.DDa, 5, K((-1, 8), (1, 7), -3, (1, 13)),
+     "1 397488/393851 -16/45 24843/23936 -4/45 24843/21251"),
+    (XType.DDb, 5, K(3, -11, (1, 7), (1, 8)),
+     "1 -176/18971 16/405 -11/3200 4/405 -11/12371"),
+    (XType.SSa, 5, K(7, (1, 8), -11, 5),
+     "1 -3920/37733 16/5445 -245/31652 4/5445 -245/482333"),
+    (XType.SSb, 5, K(-11, (1, 11), (1, 8), (1, 7)),
+     "1 94864/98281 -16/45 5929/6784 -4/45 539/851"),
+)
+
+
+@pytest.mark.parametrize("xtype, n, k, expected", E_SCALARS, ids=[r[0].value for r in E_SCALARS])
+def test_e_scalars_pinned(xtype, n, k, expected):
+    ub = u_basis(build_module(xtype, n, k, Q2))
+    assert [x.rat for x in ub.e] == [Fraction(v) for v in expected.split()]
+
+
 SPLIT_DIMS = {XType.DS: (2, 1), XType.DDa: (3, 1), XType.DDb: (2, 2),
               XType.SSa: (2, 2), XType.SSb: (2, 2)}
 

@@ -12,7 +12,6 @@ from dahalink.exactlinalg import (
     change_of_basis,
     char_poly,
     eigenspace,
-    is_diagonal,
     is_irreducible_tridiagonal,
     is_lower_bidiagonal,
     is_lower_tridiagonal,
@@ -21,9 +20,7 @@ from dahalink.exactlinalg import (
     is_upper_tridiagonal,
     kernel_basis,
     rank,
-    restrict,
     restrict_to_basis,
-    solve,
 )
 
 
@@ -177,19 +174,6 @@ def test_rank_nullity():
             assert a.apply(v) == zero
 
 
-def test_solve():
-    a = M([[1, 2], [3, 4]])
-    x = solve(a, [QQ.rational(5), QQ.rational(11)])
-    assert x is not None and a.apply(x) == (QQ.rational(5), QQ.rational(11))
-    # inconsistent system
-    b = M([[1, 1], [2, 2]])
-    assert solve(b, [QQ.rational(1), QQ.rational(3)]) is None
-    # underdetermined: any exact solution is acceptable
-    c = M([[1, 1]])
-    x = solve(c, [QQ.rational(7)])
-    assert x is not None and c.apply(x) == (QQ.rational(7),)
-
-
 def test_char_poly_known_cases():
     # x^2 - 5x - 2 for [[1,2],[3,4]]: det(xI - M) = x^2 - (tr)x + det
     cs = char_poly(M([[1, 2], [3, 4]]))
@@ -301,10 +285,10 @@ def test_restrict_composition():
     # restriction respects products on a shared invariant subspace
     a = M([[2, 0, 0], [0, 3, 1], [0, 0, 3]])
     b = M([[1, 0, 0], [0, 5, 0], [0, 0, 5]])
-    w = Subspace(QQ, 3, [[QQ.rational(0), QQ.rational(1), QQ.rational(0)],
-                         [QQ.rational(0), QQ.rational(0), QQ.rational(1)]])
-    ra, rb = restrict(a, w), restrict(b, w)
-    assert restrict(a * b, w) == ra * rb
+    basis = [[QQ.rational(0), QQ.rational(1), QQ.rational(0)],
+             [QQ.rational(0), QQ.rational(0), QQ.rational(1)]]
+    ra, rb = restrict_to_basis(a, basis), restrict_to_basis(b, basis)
+    assert restrict_to_basis(a * b, basis) == ra * rb
 
 
 def test_restrict_not_invariant():
@@ -357,7 +341,7 @@ def test_restrict_to_basis_order_matters():
 
 def test_shape_predicates():
     diag = M([[1, 0], [0, 2]])
-    assert is_diagonal(diag) and is_tridiagonal(diag)
+    assert is_tridiagonal(diag)
     tri = M([[1, 1, 0], [1, 1, 1], [0, 1, 1]])
     assert is_tridiagonal(tri) and is_irreducible_tridiagonal(tri)
     red = M([[1, 0, 0], [1, 1, 1], [0, 1, 1]])  # zero superdiagonal entry

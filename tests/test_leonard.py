@@ -127,6 +127,16 @@ def test_split_sequence_rejects_non_standard_order():
         split_sequence(pair, swapped, theta_star)
 
 
+def test_split_sequence_rejects_dependent_chain():
+    # from theta*_0 = 3 the chain is v_0 = e_1, v_1 = (A - 1) e_1 = e_1 and
+    # (A - 2) v_1 = 0, with A* v_1 - 5 v_1 = -2 v_0: every step passes, but
+    # v_1 = v_0, so the chain is no basis
+    pair = LeonardPair(ExactMatrix.diagonal(QQ, [1, 2]), ExactMatrix.diagonal(QQ, [5, 3]))
+    with pytest.raises(NotStandardOrderingError):
+        split_sequence(pair, [QQ.rational(1), QQ.rational(2)],
+                       [QQ.rational(3), QQ.rational(5)])
+
+
 def _intersection_dim_and_vector(ctx, n, span1, span2):
     """Basis of span(span1) ∩ span(span2) via the kernel of [B1 | -B2]."""
     from dahalink.exactlinalg import kernel_basis
