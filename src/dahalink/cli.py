@@ -42,6 +42,7 @@ from .leonard import (
     parameter_arrays,
 )
 from .daha import (
+    MAX_N,
     Check,
     HqModule,
     HqParams,
@@ -300,6 +301,8 @@ def _sizes(xtype: XType, max_n: int) -> list[int]:
 def run_suite(seed: int, max_n: int) -> list[Check]:
     """The property battery: constructions, shape theorems, extraction
     agreement, twists, and link round trips on seeded random instances."""
+    if max_n > MAX_N:
+        raise ValueError(f"--max-n {max_n} exceeds the largest module size n = {MAX_N}")
     rng = random.Random(seed)
     qs = (QQ.rational(2), QQ.rational(3))
     checks: list[Check] = []

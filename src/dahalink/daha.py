@@ -94,7 +94,13 @@ __all__ = [
     "link_check",
     "link_construct",
     "sample_params",
+    "MAX_N",
 ]
+
+
+#: The largest module dimension minus one; past it ``validate_params``
+#: reports ``n-too-large`` before forming any power of q.
+MAX_N = 255
 
 
 class LinkError(ValueError):
@@ -231,8 +237,8 @@ def validate_params(xtype: XType, n: int, k: Sequence[FieldElement],
                     q: FieldElement) -> list[str]:
     """The list of violated conditions (empty = valid parameters).
 
-    Checks parity of n, the type's defining equation, and the type's
-    finite forbidden-membership lists.
+    Checks the range and parity of n, the type's defining equation, and
+    the type's finite forbidden-membership lists.
     """
     if not is_valid_q(q):
         return ["q-invalid"]
@@ -242,6 +248,8 @@ def validate_params(xtype: XType, n: int, k: Sequence[FieldElement],
     bad: list[str] = []
     if n < 0:
         return ["n-negative"]
+    if n > MAX_N:
+        return ["n-too-large"]
     if (n % 2 == 0) != xtype.even_n:
         bad.append("parity")
         return bad

@@ -31,6 +31,7 @@ __all__ = [
     "FieldElement",
     "ContextMismatchError",
     "ExtensionRequiredError",
+    "SquareFreeBoundError",
     "int_pow",
     "sqrt_in_field",
     "sqrt_element",
@@ -55,12 +56,25 @@ class ExtensionRequiredError(ValueError):
     attempted."""
 
 
+#: Trial division in :func:`_square_free_int` stops at this bound.
+_TRIAL_BOUND = 1 << 20
+
+
+class SquareFreeBoundError(ValueError):
+    """The square-free part of an integer is not decided by trial division
+    up to ``_TRIAL_BOUND``: its cofactor past the bound is at least the
+    bound cubed and not a square."""
+
+
 def _square_free_int(n: int) -> tuple[int, int]:
     """Decompose a nonzero integer as ``n = s**2 * d`` with ``d`` square-free.
 
-    Returns ``(s, d)`` with ``s > 0`` and ``sign(d) = sign(n)``.  Complete
-    trial division; fine at the scale of this package (entries are small
-    primes and powers of a small rational q).
+    Returns ``(s, d)`` with ``s > 0`` and ``sign(d) = sign(n)``.  Trial
+    division stops at ``B = _TRIAL_BOUND``; every prime factor of the
+    cofactor ``m`` left then exceeds ``B``.  A square ``m`` goes into ``s``;
+    a non-square ``m < B**3`` is ``p`` or ``p*r`` with primes ``p != r``, so
+    it is square-free and goes into ``d``; any other ``m`` raises
+    :class:`SquareFreeBoundError`.
 
     >>> _square_free_int(48)
     (4, 3)
@@ -70,10 +84,11 @@ def _square_free_int(n: int) -> tuple[int, int]:
     if n == 0:
         raise ValueError("square-free decomposition of zero")
     sign = 1 if n > 0 else -1
+    bits = n.bit_length()
     n = abs(n)
     s, d = 1, 1
     p = 2
-    while p * p <= n:
+    while p * p <= n and p < _TRIAL_BOUND:
         if n % p == 0:
             e = 0
             while n % p == 0:
@@ -83,7 +98,15 @@ def _square_free_int(n: int) -> tuple[int, int]:
             if e % 2:
                 d *= p
         p += 1 if p == 2 else 2
-    d *= n  # leftover prime (if any) appears once
+    r = math.isqrt(n)
+    if r * r == n:
+        s *= r
+    elif n < _TRIAL_BOUND ** 3:
+        d *= n
+    else:
+        raise SquareFreeBoundError(
+            f"square-free part of a {bits}-bit integer not decided: a {n.bit_length()}-bit "
+            f"cofactor has no prime factor below {_TRIAL_BOUND}")
     return s, sign * d
 
 
@@ -178,6 +201,20 @@ QQ = FieldContext(1)
 _ZERO = Fraction(0)
 
 
+def _plus(x: Fraction, y: Fraction) -> Fraction:
+    """``x + y``, with no Fraction addition when a side is zero."""
+    if not y:
+        return x
+    return x + y if x else y
+
+
+def _diff(x: Fraction, y: Fraction) -> Fraction:
+    """``x - y``, with no Fraction subtraction when a side is zero."""
+    if not y:
+        return x
+    return x - y if x else -y
+
+
 class FieldElement:
     """An element ``rat + irr*sqrt(D)`` of the field fixed by its context.
 
@@ -241,7 +278,7 @@ class FieldElement:
         a, b = p
         if a.ctx.disc == 1:
             return FieldElement(a.ctx, a.rat + b.rat)
-        return FieldElement(a.ctx, a.rat + b.rat, a.irr + b.irr)
+        return FieldElement(a.ctx, _plus(a.rat, b.rat), _plus(a.irr, b.irr))
 
     __radd__ = __add__
 
@@ -250,14 +287,19 @@ class FieldElement:
         if p is None:
             return NotImplemented
         a, b = p
-        return FieldElement(a.ctx, a.rat - b.rat, a.irr - b.irr)
+        return a._minus(b)
 
     def __rsub__(self, other: Coercible) -> "FieldElement":
         p = self._pair(other)
         if p is None:
             return NotImplemented
         a, b = p
-        return FieldElement(a.ctx, b.rat - a.rat, b.irr - a.irr)
+        return b._minus(a)
+
+    def _minus(self, other: "FieldElement") -> "FieldElement":
+        if self.ctx.disc == 1:
+            return FieldElement(self.ctx, self.rat - other.rat)
+        return FieldElement(self.ctx, _diff(self.rat, other.rat), _diff(self.irr, other.irr))
 
     def __mul__(self, other: Coercible) -> "FieldElement":
         p = self._pair(other)
@@ -267,11 +309,12 @@ class FieldElement:
         d = a.ctx.disc
         if d == 1:
             return FieldElement(a.ctx, a.rat * b.rat)
-        return FieldElement(
-            a.ctx,
-            a.rat * b.rat + d * a.irr * b.irr,
-            a.rat * b.irr + a.irr * b.rat,
-        )
+        ar, ai, br, bi = a.rat, a.irr, b.rat, b.irr
+        # A product over Q(sqrt D) whose operands are rational or pure
+        # irrational (the usual case) forms a single Fraction product.
+        rat = _plus(ar * br if ar and br else _ZERO, d * ai * bi if ai and bi else _ZERO)
+        irr = _plus(ar * bi if ar and bi else _ZERO, ai * br if ai and br else _ZERO)
+        return FieldElement(a.ctx, rat, irr)
 
     __rmul__ = __mul__
 
@@ -290,7 +333,8 @@ class FieldElement:
         return b * a.inv()
 
     def __neg__(self) -> "FieldElement":
-        return FieldElement(self.ctx, -self.rat, -self.irr)
+        return FieldElement(self.ctx, -self.rat if self.rat else self.rat,
+                            -self.irr if self.irr else self.irr)
 
     def __pow__(self, e: int) -> "FieldElement":
         return int_pow(self, e)
@@ -300,13 +344,22 @@ class FieldElement:
 
     def norm(self) -> Fraction:
         """The field norm ``rat**2 - disc*irr**2`` (a rational)."""
-        return self.rat * self.rat - self.ctx.disc * self.irr * self.irr
+        r, i = self.rat, self.irr
+        if not i:
+            return r * r
+        n = -self.ctx.disc * i * i
+        return r * r + n if r else n
 
     def inv(self) -> "FieldElement":
+        r, i = self.rat, self.irr
+        if not i:
+            if not r:
+                raise ZeroDivisionError("inverse of zero field element")
+            return FieldElement(self.ctx, 1 / r)
+        if not r:
+            return FieldElement(self.ctx, _ZERO, 1 / (self.ctx.disc * i))
         n = self.norm()
-        if n == 0:
-            raise ZeroDivisionError("inverse of zero field element")
-        return FieldElement(self.ctx, self.rat / n, -self.irr / n)
+        return FieldElement(self.ctx, r / n, -i / n)
 
     # -- predicates & canonical forms ---------------------------------------
 

@@ -70,6 +70,17 @@ class ExactMatrix:
     def __setattr__(self, name, value):
         raise AttributeError("ExactMatrix is immutable")
 
+    @classmethod
+    def _of(cls, ctx: FieldContext, rows: Sequence[Sequence[FieldElement]]) -> "ExactMatrix":
+        """A matrix from rectangular rows whose entries are already in
+        ``ctx``: no shape check and no lift."""
+        m = object.__new__(cls)
+        object.__setattr__(m, "ctx", ctx)
+        object.__setattr__(m, "nrows", len(rows))
+        object.__setattr__(m, "ncols", len(rows[0]) if rows else 0)
+        object.__setattr__(m, "rows", tuple(tuple(row) for row in rows))
+        return m
+
     # -- constructors --------------------------------------------------------
 
     @classmethod
@@ -121,16 +132,16 @@ class ExactMatrix:
 
     def __add__(self, other: "ExactMatrix") -> "ExactMatrix":
         self._check_shape(other, same=True)
-        return ExactMatrix(self.ctx, [[a + b for a, b in zip(r1, r2)]
-                                      for r1, r2 in zip(self.rows, other.rows)])
+        return self._same_field(other)(self.ctx, [[a + b for a, b in zip(r1, r2)]
+                                                  for r1, r2 in zip(self.rows, other.rows)])
 
     def __sub__(self, other: "ExactMatrix") -> "ExactMatrix":
         self._check_shape(other, same=True)
-        return ExactMatrix(self.ctx, [[a - b for a, b in zip(r1, r2)]
-                                      for r1, r2 in zip(self.rows, other.rows)])
+        return self._same_field(other)(self.ctx, [[a - b for a, b in zip(r1, r2)]
+                                                  for r1, r2 in zip(self.rows, other.rows)])
 
     def __neg__(self) -> "ExactMatrix":
-        return ExactMatrix(self.ctx, [[-a for a in row] for row in self.rows])
+        return ExactMatrix._of(self.ctx, [[-a for a in row] for row in self.rows])
 
     def __mul__(self, other: "ExactMatrix") -> "ExactMatrix":
         if not isinstance(other, ExactMatrix):
@@ -145,19 +156,19 @@ class ExactMatrix:
             nz = {i: a for i, a in enumerate(row) if a}
             out.append([_sum_of_products((nz[i], b) for i, b in c if i in nz) or zero
                         for c in ocols])
-        return ExactMatrix(self.ctx, out)
+        return self._same_field(other)(self.ctx, out)
 
     def scale(self, c) -> "ExactMatrix":
         c = self.ctx.lift(c)
-        return ExactMatrix(self.ctx, [[c * a for a in row] for row in self.rows])
+        return ExactMatrix._of(self.ctx, [[c * a for a in row] for row in self.rows])
 
     def shift(self, c) -> "ExactMatrix":
         """``M + cI``: only the diagonal changes."""
         if not self.is_square:
             raise ValueError("shift of a non-square matrix")
         c = self.ctx.lift(c)
-        return ExactMatrix(self.ctx, [row[:i] + (row[i] + c,) + row[i + 1:]
-                                      for i, row in enumerate(self.rows)])
+        return ExactMatrix._of(self.ctx, [row[:i] + (row[i] + c,) + row[i + 1:]
+                                          for i, row in enumerate(self.rows)])
 
     def apply(self, vec: Sequence[FieldElement]) -> Vector:
         """Matrix-vector product (vector as a column)."""
@@ -166,8 +177,8 @@ class ExactMatrix:
         return tuple(_dot(row, vec) for row in self.rows)
 
     def transpose(self) -> "ExactMatrix":
-        return ExactMatrix(self.ctx, [[self.rows[i][j] for i in range(self.nrows)]
-                                      for j in range(self.ncols)])
+        return ExactMatrix._of(self.ctx, [[self.rows[i][j] for i in range(self.nrows)]
+                                          for j in range(self.ncols)])
 
     def trace(self) -> FieldElement:
         if not self.is_square:
@@ -193,6 +204,11 @@ class ExactMatrix:
     def _check_shape(self, other: "ExactMatrix", same: bool = False) -> None:
         if same and self.shape != other.shape:
             raise ValueError(f"shape mismatch {self.shape} vs {other.shape}")
+
+    def _same_field(self, other: "ExactMatrix"):
+        """The constructor for a result of ``self`` and ``other``: entries
+        of two matrices over one context object need no lift."""
+        return ExactMatrix._of if other.ctx is self.ctx else ExactMatrix
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ExactMatrix):
@@ -288,9 +304,10 @@ def _reduce_against(left: ExactMatrix, blocks: Sequence[ExactMatrix],
         raise dependent
     if len(pivots) > k:
         return None
+    make = ExactMatrix._of if all(blk.ctx is left.ctx for blk in blocks) else ExactMatrix
     out, start = [], k
     for blk in blocks:
-        out.append(ExactMatrix(left.ctx, [row[start:start + blk.ncols] for row in red[:k]]))
+        out.append(make(left.ctx, [row[start:start + blk.ncols] for row in red[:k]]))
         start += blk.ncols
     return out
 

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -293,3 +294,40 @@ def test_suite_edge_bound(capsys):
     code, rep = run(capsys, "suite", "--seed", "0", "--max-n", "1")
     assert code == 0
     assert all(c["passed"] for c in rep["checks"])
+
+
+def timed_run(capsys, *argv):
+    started = time.perf_counter()
+    code, rep = run(capsys, *argv)
+    return code, rep, time.perf_counter() - started
+
+
+def test_huge_discriminant_in_input_is_a_parse_error(capsys, tmp_path):
+    # 2**61 - 1 is prime: trial division to the bound cannot settle it
+    p = tmp_path / "h.json"
+    p.write_text(json.dumps({"a": {"rat": "1", "irr": "1", "disc": 2 ** 61 - 1},
+                             "b": 3, "c": 5, "d": 1, "q": 2}))
+    code, rep, seconds = timed_run(capsys, "check-huang", str(p))
+    assert code == 1 and "square-free" in rep["error"]
+    assert seconds < 1
+
+
+def test_huge_ds_radicand_is_a_validation_error(capsys, tmp_path):
+    # case ii with c = 7p and 14p: the DS radicand is 105p/2, with p = 2**61 - 1
+    p = 2 ** 61 - 1
+    h1 = write_huang(tmp_path, "h1.json", 3, 5, 7 * p, 2)
+    h2 = write_huang(tmp_path, "h2.json", 6, 10, 14 * p, 1)
+    code, rep, seconds = timed_run(capsys, "link", h1, h2, "--construct")
+    assert code == 2 and "square-free" in rep["error"]
+    assert seconds < 1
+
+
+def test_oversized_n_is_rejected_at_once(capsys, tmp_path):
+    p = tmp_path / "big.json"
+    p.write_text(json.dumps({"xtype": "DS", "n": 100000, "q": 2, "k": ["1/4", 3, 7, 5]}))
+    code, rep, seconds = timed_run(capsys, "construct", str(p))
+    assert code == 2 and rep["violations"] == ["DS n-too-large"] and seconds < 1
+    code, rep, seconds = timed_run(capsys, "extract", str(p))
+    assert code == 2 and rep["error"] == "DS n-too-large" and seconds < 1
+    code, rep, seconds = timed_run(capsys, "suite", "--max-n", "100000")
+    assert code == 2 and "max-n" in rep["error"] and seconds < 1

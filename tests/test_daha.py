@@ -16,6 +16,7 @@ from dahalink.exactlinalg import (
 )
 from dahalink.leonard import HuangData, VerificationError, huang_equivalent
 from dahalink.daha import (
+    MAX_N,
     HqModule,
     HqParams,
     LinkError,
@@ -77,6 +78,20 @@ def test_validate_params_q_and_k_guards():
     assert validate_params(XType.DS, 2, (R(3), R(5), R(7)), Q2) == ["k-nonzero"]
     assert validate_params(XType.DS, 2, K(0, 5, 7, 11), Q2) == ["k-nonzero"]
     assert validate_params(XType.DS, -2, k, Q2) == ["n-negative"]
+
+
+def test_validate_params_bounds_n_before_any_power_of_q(monkeypatch):
+    import dahalink.daha as daha
+
+    k = K(3, 5, 7, (1, 840))
+    assert validate_params(XType.DS, MAX_N - 1, k, Q2) != ["n-too-large"]
+    monkeypatch.setattr(daha, "int_pow", None)      # any power of q would fail
+    for n in (MAX_N + 1, MAX_N + 2, 10 ** 9):
+        assert validate_params(XType.DS, n, k, Q2) == ["n-too-large"]
+        assert validate_params(XType.DDa, n, K((1, 4), 3, 7, 5), Q2) == ["n-too-large"]
+    assert validate_params(XType.DS, -2, k, Q2) == ["n-negative"]
+    with pytest.raises(ValueError, match="n-too-large"):
+        build_module(XType.DS, 100000, k, Q2)
 
 
 def test_validate_params_parity():

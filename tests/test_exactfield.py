@@ -1,6 +1,8 @@
 import json
 import operator
 import random
+import time
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -11,6 +13,7 @@ from dahalink.exactfield import (
     ExtensionRequiredError,
     FieldContext,
     FieldElement,
+    SquareFreeBoundError,
     int_pow,
     is_valid_q,
     sqrt_element,
@@ -76,6 +79,65 @@ def test_division_by_zero():
         QQ.rational(3) / QQ.zero()
     with pytest.raises(ZeroDivisionError):
         FieldContext(5).zero().inv()
+
+
+@pytest.mark.parametrize("disc", [-1, 2, 3, 5, 210])
+def test_graded_arithmetic_matches_fraction_formulas(disc):
+    # Each part is zero on its own, so rational, pure irrational, mixed and
+    # zero operands all meet; the expected values are the general formulas.
+    rng = random.Random(disc)
+    ctx = FieldContext(disc)
+
+    def part():
+        return Fraction(0) if rng.random() < 0.4 else Fraction(rng.randint(-40, 40),
+                                                               rng.randint(1, 15))
+
+    shapes = set()
+    for _ in range(300):
+        ar, ai, br, bi = part(), part(), part(), part()
+        x, y = ctx.element(ar, ai), ctx.element(br, bi)
+        shapes.add((ar != 0, ai != 0))
+        parts = lambda e: (e.rat, e.irr)
+        assert parts(x + y) == (ar + br, ai + bi)
+        assert parts(x - y) == (ar - br, ai - bi)
+        assert parts(-x) == (-ar, -ai)
+        assert parts(x * y) == (ar * br + disc * ai * bi, ar * bi + ai * br)
+        assert bool(x) == (ar != 0 or ai != 0)
+        assert (x == y) == ((ar, ai) == (br, bi))
+        assert x == ctx.element(ar, ai) and x != ctx.element(ar + 1, ai)
+        n = br * br - disc * bi * bi
+        assert y.norm() == n
+        if n == 0:
+            with pytest.raises(ZeroDivisionError):
+                y.inv()
+            with pytest.raises(ZeroDivisionError):
+                x / y
+            continue
+        assert parts(y.inv()) == (br / n, -bi / n)
+        assert parts(x / y) == ((ar * br - disc * ai * bi) / n, (ai * br - ar * bi) / n)
+    assert len(shapes) == 4
+
+
+def test_graded_products_and_rational_inverses_cost_one_fraction_operation(monkeypatch):
+    counts = Counter()
+    for name in ("__mul__", "__rmul__", "__truediv__", "__rtruediv__"):
+        def counting(self, other, _op=getattr(Fraction, name), _name=name):
+            counts[_name] += 1
+            return _op(self, other)
+        monkeypatch.setattr(Fraction, name, counting)
+    ctx = FieldContext(5)
+    x, y = ctx.element(Fraction(3, 7)), ctx.element(0, Fraction(-5, 11))
+    z = QQ.from_fraction(Fraction(-7, 12))
+    counts.clear()
+    prod = x * y
+    assert counts["__mul__"] + counts["__rmul__"] == 1
+    assert counts["__truediv__"] + counts["__rtruediv__"] == 0
+    counts.clear()
+    inv = z.inv()
+    assert counts["__mul__"] + counts["__rmul__"] == 0
+    assert counts["__truediv__"] + counts["__rtruediv__"] == 1
+    assert (prod.rat, prod.irr) == (0, Fraction(-15, 77))
+    assert inv == Fraction(-12, 7)
 
 
 def test_inverse_uses_conjugate_norm():
@@ -186,6 +248,24 @@ def test_square_free_decomposition():
     for val in (Fraction(7, 11), Fraction(360), Fraction(-1, 4)):
         s, d = square_free_decomposition(val)
         assert s * s * d == val
+
+
+def test_square_free_decomposition_past_the_trial_bound():
+    # primes just above the trial-division bound 2**20
+    p, r, t = 1048583, 1048589, 1048601
+    assert square_free_decomposition(Fraction(12 * p)) == (Fraction(2), 3 * p)
+    assert square_free_decomposition(Fraction(12 * p * r)) == (Fraction(2), 3 * p * r)
+    assert square_free_decomposition(Fraction(5 * p * p)) == (Fraction(p), 5)
+    assert square_free_decomposition(Fraction(7 * (p * r) ** 2, 9)) == (Fraction(p * r, 3), 7)
+    assert FieldContext(-p * r).disc == -p * r
+    started = time.perf_counter()
+    for n in (p ** 3, p * r * t, 2 ** 61 - 1, -3 * (2 ** 61 - 1)):
+        with pytest.raises(SquareFreeBoundError):
+            square_free_decomposition(Fraction(n))
+    with pytest.raises(SquareFreeBoundError):
+        FieldContext(2 ** 61 - 1)
+    assert time.perf_counter() - started < 5
+    assert issubclass(SquareFreeBoundError, ValueError)
 
 
 def test_sqrt_in_field():

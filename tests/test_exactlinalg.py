@@ -132,6 +132,29 @@ def test_rational_entries_move_into_the_matrix_field():
         ExactMatrix.from_rows(ctx, [[FieldContext(2).element(0, 1)]])
 
 
+def test_matrices_derived_in_one_field_skip_the_entry_lift(monkeypatch):
+    ctx = FieldContext(3)
+    a = ExactMatrix.from_rows(ctx, [[ctx.element(1, 1), 2], [0, ctx.element(0, -1)]])
+    b = ExactMatrix.from_rows(ctx, [[3, ctx.element(0, 2)], [1, ctx.element(5, 1)]])
+    lifts = []
+    original = FieldContext.lift
+    monkeypatch.setattr(FieldContext, "lift", lambda self, x: lifts.append(x) or original(self, x))
+    results = {"neg": -a, "transpose": a.transpose(), "add": a + b, "sub": a - b,
+               "mul": a * b, "scale": a.scale(2), "shift": a.shift(2)}
+    assert len(lifts) == 2                  # the scalars of scale and shift only
+    assert results["transpose"].rows == tuple(zip(*a.rows))
+    assert all(x.ctx == ctx for m in results.values() for row in m.rows for x in row)
+    # another context object, even an equal one, still goes through the lift
+    other = ExactMatrix.from_rows(FieldContext(3), [[1, 2], [3, 4]])
+    expected = a + ExactMatrix.from_rows(ctx, [[1, 2], [3, 4]])
+    lifts.clear()
+    assert a + other == expected and len(lifts) == 4
+    mixed = a * M([[1, 0], [0, 1]])
+    assert mixed == a and all(x.ctx == ctx for row in mixed.rows for x in row)
+    with pytest.raises(ValueError):
+        M([[1, 0], [0, 1]]) * a
+
+
 def test_shape_mismatch_raises():
     with pytest.raises(ValueError):
         M([[1, 2]]) + M([[1], [2]])

@@ -1,9 +1,16 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
-from dahalink.exactfield import QQ, ExtensionRequiredError, FieldContext, int_pow
+from dahalink.exactfield import (
+    QQ,
+    ExtensionRequiredError,
+    FieldContext,
+    SquareFreeBoundError,
+    int_pow,
+)
 from dahalink.exactlinalg import (
     ExactMatrix,
     is_lower_bidiagonal,
@@ -276,6 +283,24 @@ def test_huang_data_from_array_extends_for_irrational_c():
     assert h.c + h.c.inv() == 3
     assert h.a in (QQ.rational(3), QQ.rational(1, 3))
     assert h.b in (QQ.rational(5), QQ.rational(1, 5))
+
+
+def test_huang_data_from_array_bounds_the_radicand():
+    # the pair of test_huang_data_from_array_extends_for_irrational_c with
+    # c + 1/c = s = 2**61 + 1, so s**2 - 4 = (2**61 - 1)(2**61 + 3) holds a
+    # prime past the trial-division bound once: phi_1 = (-3/20)(226 - 15 s)
+    s = 2 ** 61 + 1
+    theta = [QQ.rational(13, 6), QQ.rational(37, 6)]
+    theta_star = [QQ.rational(29, 10), QQ.rational(101, 10)]
+    z, one = QQ.zero(), QQ.one()
+    A = ExactMatrix.from_rows(QQ, [[theta[0], z], [one, theta[1]]])
+    S = ExactMatrix.from_rows(QQ, [[theta_star[0], QQ.rational(-3 * (226 - 15 * s), 20)],
+                                   [z, theta_star[1]]])
+    pa = parameter_arrays(LeonardPair(A, S), (theta, theta_star))[0]
+    started = time.perf_counter()
+    with pytest.raises(SquareFreeBoundError):
+        huang_data_from_array(pa, Q2)
+    assert time.perf_counter() - started < 1
 
 
 def test_huang_data_from_array_refuses_second_extension():

@@ -1,11 +1,11 @@
 """Exact linear algebra against sympy's ``DomainMatrix`` as an oracle.
 
 ``ExactMatrix.shift``, ``rank``, the dimension of ``eigenspace``,
-``char_poly`` and ``ExactMatrix.inverse`` are compared with sympy over Q and
-Q(sqrt 2) on small matrices drawn by hypothesis.  A drawn matrix is
-``U V + lam I`` with ``U`` n x k and ``V`` k x n, so for k < n it has the
-eigenvalue ``lam`` with an eigenspace of dimension at least n - k, and
-rank drops when ``lam`` is zero.  Sympy and hypothesis are test
+``char_poly`` and ``ExactMatrix.inverse`` are compared with sympy over Q,
+Q(sqrt 2) and Q(sqrt 5) on small matrices drawn by hypothesis.  A drawn
+matrix is ``U V + lam I`` with ``U`` n x k and ``V`` k x n, so for k < n it
+has the eigenvalue ``lam`` with an eigenspace of dimension at least n - k,
+and rank drops when ``lam`` is zero.  Sympy and hypothesis are test
 dependencies only; the examples are derandomized, so every run draws the
 same matrices.
 """
@@ -29,8 +29,8 @@ from hypothesis import HealthCheck, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 from sympy.polys.matrices import DomainMatrix  # noqa: E402
 
-Q_SQRT2 = FieldContext(2)
-FIELDS = pytest.mark.parametrize("ctx", [QQ, Q_SQRT2], ids=["Q", "Q(sqrt 2)"])
+FIELDS = pytest.mark.parametrize("ctx", [QQ, FieldContext(2), FieldContext(5)],
+                                 ids=["Q", "Q(sqrt 2)", "Q(sqrt 5)"])
 ORACLE = settings(max_examples=40, derandomize=True, deadline=None, database=None,
                   suppress_health_check=[HealthCheck.too_slow])
 
