@@ -30,7 +30,7 @@ import time
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .exactfield import FieldElement, QQ
+from .exactfield import FieldContext, FieldElement, QQ, _json_int
 from .exactlinalg import ExactMatrix
 from .leonard import (
     HuangData,
@@ -40,6 +40,7 @@ from .leonard import (
     huang_data_from_array,
     huang_equivalent,
     parameter_arrays,
+    recognize_leonard_pair,
 )
 from .daha import (
     MAX_N,
@@ -90,10 +91,10 @@ def _load_json(path: str) -> dict:
     return data
 
 
-def _field(value: object, what: str) -> FieldElement:
+def _field(value: object, what: str, ctx: Optional[FieldContext] = None) -> FieldElement:
     try:
-        return FieldElement.from_json(value)
-    except (ValueError, TypeError, KeyError, ZeroDivisionError) as exc:
+        return FieldElement.from_json(value, ctx)
+    except (ValueError, TypeError, KeyError, ArithmeticError) as exc:
         raise CliParseError(f"cannot parse {what}: {exc}") from exc
 
 
@@ -109,7 +110,7 @@ def _unwrap_module(data: dict) -> dict:
 def _parse_descriptor(data: dict) -> tuple[XType, int, FieldElement, tuple]:
     try:
         xtype = XType(data["xtype"])
-        n = int(data["n"])
+        n = _json_int(data["n"])
         kraw = data["k"]
         if not isinstance(kraw, list) or len(kraw) != 4:
             raise ValueError("k must be a list of four elements")
@@ -123,15 +124,18 @@ def _parse_descriptor(data: dict) -> tuple[XType, int, FieldElement, tuple]:
 def _parse_huang(path: str) -> tuple[HuangData, FieldElement]:
     data = _load_json(path)
     try:
-        d = int(data["d"])
+        d = _json_int(data["d"])
     except (KeyError, ValueError, TypeError) as exc:
         raise CliParseError(f"{path}: bad diameter: {exc}") from exc
-    a = _field(data.get("a"), "a")
-    b = _field(data.get("b"), "b")
-    c = _field(data.get("c", 1), "c")
+    # the first of a, b, c with a discriminant fixes the field of the rest
+    ctx, abc = None, []
+    for key, default in (("a", None), ("b", None), ("c", 1)):
+        abc.append(_field(data.get(key, default), key, ctx))
+        if abc[-1].ctx.disc != 1:
+            ctx = abc[-1].ctx
     q = _field(data.get("q"), "q")
     try:
-        return HuangData(a, b, c, d), q
+        return HuangData(*abc, d), q
     except ValueError as exc:
         raise CliParseError(f"{path}: {exc}") from exc
 
@@ -152,7 +156,7 @@ def _module_from_json(data: dict) -> tuple[HqModule, Report]:
     ctx = params.ctx
     try:
         t = tuple(ExactMatrix.from_json(md, ctx) for md in data["t"])
-    except (ValueError, TypeError, KeyError) as exc:
+    except (ValueError, TypeError, KeyError, ArithmeticError) as exc:
         raise CliParseError(f"bad generator matrices: {exc}") from exc
     if any(m.shape != (n + 1, n + 1) for m in t) or len(t) != 4:
         raise ValueError("generator matrices must be four (n+1)x(n+1) blocks")
@@ -225,15 +229,25 @@ def cmd_extract(args: argparse.Namespace, started: float) -> int:
                    "failed": feas_report.failures()}
         return _finish("extract", payload, feas_report.checks, started,
                        args.out, EXIT_INFEASIBLE)
-    (_, h_plus), (_, h_minus) = restricted_leonard_pairs(module)
+    halves = restricted_leonard_pairs(module)
+    (_, h_plus), (_, h_minus) = halves
     q = module.params.q
     payload = {
         "huang_plus": dict(h_plus.to_json(), q=q.to_json()),
         "huang_minus": dict(h_minus.to_json(), q=q.to_json()),
     }
     checks = list(feas_report.checks)
-    checks.append(Check("huang-dual-route-agreement", True))
-    return _finish("extract", payload, checks, started, args.out, EXIT_OK)
+    # the generic route: the bidiagonal restricted A and B have their
+    # diagonals as spectra, which recognition takes as candidates (irrational
+    # eigenvalues need not yield to root search); the parameter array is read
+    # under the orderings recognition returns, not the predicted diagonals
+    diag = lambda m: [m.rows[r][r] for r in range(m.nrows)]
+    recs = [(p, recognize_leonard_pair(p.A, p.Astar, diag(p.A), diag(p.Astar))) for p, _ in halves]
+    generic = [rec and huang_data_from_array(parameter_arrays(p, rec)[0], q) for p, rec in recs]
+    agree = all(g is not None and huang_equivalent(g, h) for g, (_, h) in zip(generic, halves))
+    checks.append(Check("huang-dual-route-agreement", agree))
+    return _finish("extract", payload, checks, started, args.out,
+                   EXIT_OK if agree else EXIT_VALIDATION)
 
 
 def cmd_link(args: argparse.Namespace, started: float) -> int:

@@ -28,26 +28,21 @@ import enum
 import itertools
 import json
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from typing import NamedTuple, Optional, Sequence
 
 from .exactfield import (
-    ExtensionRequiredError,
     FieldContext,
     FieldElement,
+    _json_int,
     int_pow,
     is_valid_q,
-    sqrt_element,
-    sqrt_in_field,
-    square_free_decomposition,
+    sqrt_or_extend,
 )
 from .exactlinalg import (
     ExactMatrix,
-    SingularMatrixError,
     Subspace,
     Vector,
-    change_of_basis,
     eigenspace,
     is_lower_bidiagonal,
     is_lower_tridiagonal,
@@ -57,9 +52,13 @@ from .exactlinalg import (
     restrict_to_basis,
 )
 from .leonard import (
+    MAX_DIAMETER,
     HuangData,
     LeonardPair,
     VerificationError,
+    _distinct_eigenvalues,
+    _proportionality,
+    _reciprocal_root,
     _walk_path,
     check_huang_admissible,
     common_context,
@@ -100,7 +99,7 @@ __all__ = [
 
 #: The largest module dimension minus one; past it ``validate_params``
 #: reports ``n-too-large`` before forming any power of q.
-MAX_N = 255
+MAX_N = MAX_DIAMETER
 
 
 class LinkError(ValueError):
@@ -192,7 +191,7 @@ class HqParams:
 
     @classmethod
     def from_json(cls, data: dict) -> "HqParams":
-        return cls(FieldElement.from_json(data["q"]), int(data["n"]),
+        return cls(FieldElement.from_json(data["q"]), _json_int(data["n"]),
                    tuple(FieldElement.from_json(x) for x in data["k"]))
 
 
@@ -511,9 +510,7 @@ class HqModule:
         return is_feasible(self)
 
     def descriptor(self) -> dict:
-        return {"xtype": self.xtype.value, "n": self.params.n,
-                "q": self.params.q.to_json(),
-                "k": [ki.to_json() for ki in self.params.k]}
+        return {"xtype": self.xtype.value, **self.params.to_json()}
 
     def to_json(self) -> dict:
         out = self.descriptor()
@@ -820,10 +817,9 @@ def u_basis(m: HqModule) -> UBasis:
     if any(vecs[n + 1]):
         raise VerificationError("the flattening recursion does not terminate")
     cols = vecs[:n + 1]
-    p = ExactMatrix.from_cols(ctx, cols)
     try:
-        reps = change_of_basis((m.Y, m.Y_inv, m.A, m.X, m.X_inv, m.B), p)
-    except SingularMatrixError:
+        reps = restrict_to_basis((m.Y, m.Y_inv, m.A, m.X, m.X_inv, m.B), cols)
+    except ValueError:
         raise VerificationError("the flattening vectors are linearly dependent") from None
     if not all(is_lower_tridiagonal(r) for r in reps[:3]):
         raise VerificationError("Y, Y^{-1}, A are not lower tridiagonal in the u-basis")
@@ -842,7 +838,8 @@ def u_basis(m: HqModule) -> UBasis:
     # shape on u' is the shape on u
     if not all(is_upper_tridiagonal(r) for r in reps[3:]):
         raise VerificationError("X, X^{-1}, B are not upper tridiagonal after rescaling")
-    return UBasis(p, tuple(beta), tuple(e), ExactMatrix.from_cols(ctx, scaled))
+    return UBasis(ExactMatrix.from_cols(ctx, cols), tuple(beta), tuple(e),
+                  ExactMatrix.from_cols(ctx, scaled))
 
 
 def _t0_indices(xtype: XType, n: int) -> tuple[list[int], list[int]]:
@@ -998,55 +995,36 @@ def _recognize_module(t: Sequence[ExactMatrix], q: FieldElement,
                       spectrum: Sequence[FieldElement]) -> HqModule:
     """Rebuild (xtype, ladder, parameters) from four generator matrices
     whose X = t3 t0 has the given candidate spectrum."""
-    ctx = t[0].ctx
     n = t[0].nrows - 1
-    X = t[3] * t[0]
-    spaces = []
-    for mu in spectrum:
-        es = eigenspace(X, mu)
-        if es.dim != 1:
-            raise VerificationError("twisted X is not multiplicity-free")
-        spaces.append(es.basis[0])
+    spec = _distinct_eigenvalues(t[3] * t[0], spectrum)
+    if spec is None:
+        raise VerificationError("twisted X is not multiplicity-free")
+    vecs = spec[1]
     diagram = x_diagram(list(spectrum), q)
     order = list(diagram.order)
     mu = [spectrum[i] for i in order]
-    vecs = {i: spaces[i] for i in order}
-
-    def gen_eigenvalue(gen: int, vertex: int) -> FieldElement:
-        v = vecs[vertex]
-        img = t[gen].apply(v)
-        pivot = next(i for i, x in enumerate(v) if x)
-        lam = img[pivot] * v[pivot].inv()
-        if img != tuple(lam * x for x in v):
-            raise VerificationError("end vertex is not a generator eigenvector")
-        return lam
-
-    first, last = order[0], order[-1]
-    lex = lambda e: e.canonical_str()
-    canon = lambda e: min(e, e.inv(), key=lex)
-    if diagram.pattern == "DS" or n == 0:
-        k = (gen_eigenvalue(0, first), gen_eigenvalue(1, last),
-             gen_eigenvalue(2, last), gen_eigenvalue(3, first))
+    first, last = vecs[order[0]], vecs[order[-1]]
+    eigenvalue = lambda gen, v: _proportionality(t[gen].apply(v), v)
+    # the base generators act by their k at the first vertex; at the last,
+    # t1 and t2 give theirs (DS) or the first base generator's value tells
+    # the a-type (the same k) from the b-type
+    pattern = diagram.pattern
+    base = XType(pattern if pattern == "DS" else pattern + "a").row.x_base
+    k = {i: eigenvalue(i, first) for i in base}
+    if pattern == "DS":
         xtype = XType.DS
-    elif diagram.pattern == "DD":
-        k0 = gen_eigenvalue(0, first)
-        k3 = gen_eigenvalue(3, first)
-        same0 = gen_eigenvalue(0, last) == k0
-        xtype = XType.DDa if same0 else XType.DDb
-        # t1/t2 enter only through k + k^{-1}; normalize them
-        k = (k0, canon(_gen_any_eigenvalue(t[1])),
-             canon(_gen_any_eigenvalue(t[2])), k3)
+        k.update((i, eigenvalue(i, last)) for i in (1, 2))
     else:
-        k1 = gen_eigenvalue(1, first)
-        k2 = gen_eigenvalue(2, first)
-        same1 = gen_eigenvalue(1, last) == k1
-        xtype = XType.SSa if same1 else XType.SSb
-        k = (canon(_gen_any_eigenvalue(t[0])), k1, k2,
-             canon(_gen_any_eigenvalue(t[3])))
+        same = eigenvalue(base[0], last) == k[base[0]]
+        xtype = XType(pattern + ("a" if same else "b"))
+        # the other two enter only through k + k^{-1}; normalize them
+        for i in set(range(4)) - set(base):
+            e = _gen_any_eigenvalue(t[i])
+            k[i] = min(e, e.inv(), key=lambda x: x.canonical_str())
+    k = tuple(k[i] for i in range(4))
     if eigenvalue_ladder(xtype, n, k, q) != mu:
         raise VerificationError("twisted ladder does not match the ladder formula")
-    basis = ExactMatrix.from_cols(ctx, [list(vecs[i]) for i in order])
-    new_t = tuple(change_of_basis(t, basis))
+    new_t = tuple(restrict_to_basis(t, [vecs[i] for i in order]))
     module = HqModule(HqParams(q, n, k), xtype, new_t, mu)
     report = module.relations
     if not report.ok:
@@ -1057,24 +1035,14 @@ def _recognize_module(t: Sequence[ExactMatrix], q: FieldElement,
 
 def _gen_any_eigenvalue(mat: ExactMatrix) -> FieldElement:
     """An eigenvalue of a generator matrix, using the reciprocal quadratic
-    g^2 - s g + I = 0 it satisfies: s is the ratio of any matching nonzero
-    entries of g^2 + I and g, and the eigenvalue solves x^2 - s x + 1 = 0."""
-    n = mat.nrows
-    shifted = (mat * mat).shift(1)
-    s = None
-    for i in range(n):
-        for j in range(n):
-            if mat.rows[i][j]:
-                s = shifted.rows[i][j] * mat.rows[i][j].inv()
-                break
-        if s is not None:
-            break
-    if s is None or shifted - mat.scale(s) != ExactMatrix.zeros(mat.ctx, n):
-        raise VerificationError("generator does not satisfy a reciprocal quadratic")
-    root = sqrt_element(s * s - 4)
+    g^2 - s g + I = 0 it satisfies: g^2 + I = s g, entry by entry, and the
+    eigenvalue solves x + x^{-1} = s."""
+    entries = lambda m: tuple(x for row in m.rows for x in row)
+    s = _proportionality(entries((mat * mat).shift(1)), entries(mat))
+    root = _reciprocal_root(s)
     if root is None:
         raise VerificationError("generator eigenvalue escapes the field")
-    return (s + root) * FieldElement(mat.ctx, Fraction(1, 2))
+    return root
 
 
 def twist(m: HqModule, which: str) -> HqModule:
@@ -1272,11 +1240,11 @@ def link_construct(h: HuangData, h2: HuangData, q: FieldElement,
         raise LinkError("the Huang data are not linked")
     chosen = witnesses[0]
     if chosen.case_id in ("vi", "vii"):
-        reduced_case = "ii" if chosen.case_id == "vi" else "i"
-        swapped = [w for w in link_check(h2, h, q) if w.case_id == reduced_case]
-        if not swapped:
-            raise VerificationError("exchange symmetry failed to produce a witness")
-        inner = link_construct(h2, h, q, sign)
+        # exchanging negates d' - d: vi (+1) and vii (+2) reappear as ii and i
+        try:
+            inner = link_construct(h2, h, q, sign)
+        except LinkError:
+            raise VerificationError("exchange symmetry failed to produce a witness") from None
         return LinkConstruction(inner.module, chosen, True, inner.plus, inner.minus)
     case = chosen.case_id
     side1 = dict(zip("abc", _apply_variant(h, chosen.variant)))
@@ -1357,13 +1325,7 @@ def _ds_root(radicand: FieldElement, sign: Optional[str]) -> FieldElement:
     """A square root of the DS-case radicand, extending the field when the
     square-free part is nontrivial.  ``sign`` in {"plus", "minus"} picks
     the root; default takes the lexicographically smaller serialization."""
-    root = sqrt_in_field(radicand) if radicand.irr == 0 else sqrt_element(radicand)
-    if root is None:
-        if radicand.ctx.disc != 1:
-            raise ExtensionRequiredError(
-                "DS square root needs a second quadratic extension")
-        scale, disc = square_free_decomposition(radicand.rat)
-        root = FieldElement(FieldContext(disc), Fraction(0), scale)
+    root = sqrt_or_extend(radicand)
     if not root:
         raise VerificationError("DS radicand is zero")
     if sign not in ("plus", "minus"):

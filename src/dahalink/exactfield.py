@@ -35,6 +35,7 @@ __all__ = [
     "int_pow",
     "sqrt_in_field",
     "sqrt_element",
+    "sqrt_or_extend",
     "is_valid_q",
     "square_free_decomposition",
     "QQ",
@@ -140,6 +141,14 @@ def _rational_sqrt(r: Fraction) -> Optional[Fraction]:
     return None
 
 
+def _json_int(value: object) -> int:
+    """An integer read from JSON: a float must be finite and integral
+    (``int`` would truncate 3.7 and overflow on 1e400)."""
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"{value!r} is not an integer")
+    return int(value)
+
+
 def _frac_str(f: Fraction) -> str:
     return f"{f.numerator}/{f.denominator}" if f.denominator != 1 else str(f.numerator)
 
@@ -243,31 +252,17 @@ class FieldElement:
 
     # -- coercion ----------------------------------------------------------
 
-    def _align(self, other: Coercible) -> Optional["FieldElement"]:
-        """Bring ``other`` from outside this element's context into it, or
-        None if impossible (:meth:`_pair` handles the same-context case)."""
-        if isinstance(other, (int, Fraction)):
-            return FieldElement(self.ctx, Fraction(other))
-        if not isinstance(other, FieldElement):
-            return None
-        if other.irr == 0:
-            return FieldElement(self.ctx, other.rat)
-        if self.irr == 0:
-            # will be re-aligned from the other side by the caller
-            return None
-        raise ContextMismatchError(
-            f"cannot combine elements of Q(sqrt({self.ctx.disc})) and Q(sqrt({other.ctx.disc}))"
-        )
-
     def _pair(self, other: Coercible) -> Optional[tuple["FieldElement", "FieldElement"]]:
-        if isinstance(other, FieldElement) and (other.ctx is self.ctx or other.ctx == self.ctx):
-            return self, other  # fast path: both operands already in one field
-        o = self._align(other)
-        if o is not None:
-            return self, o
-        if isinstance(other, FieldElement) and self.irr == 0:
-            return FieldElement(other.ctx, self.rat), other
-        return None
+        """Both operands in one field (:meth:`FieldContext.lift`): a rational
+        side moves into the other's field; None for a non-number."""
+        if isinstance(other, FieldElement):
+            if other.ctx is self.ctx or other.ctx == self.ctx:
+                return self, other  # fast path: both operands already in one field
+            if self.irr == 0 and other.irr != 0:
+                return other.ctx.lift(self), other
+        elif not isinstance(other, (int, Fraction)):
+            return None
+        return self, self.ctx.lift(other)
 
     # -- arithmetic --------------------------------------------------------
 
@@ -399,18 +394,22 @@ class FieldElement:
 
         Accepts the canonical ``{"rat": "p/q", "irr": "p/q", "disc": D}``
         object, or a bare int / "p/q" string, which is read as a rational in
-        ``ctx`` (default Q).
+        ``ctx`` (default Q).  Given ``ctx``, an element is read into it; an
+        irrational one of another discriminant raises
+        :class:`ContextMismatchError` before its own field is built.
         """
         if isinstance(data, (int, str)):
             return FieldElement(ctx or QQ, Fraction(data))
         if isinstance(data, dict):
-            disc = int(data.get("disc", 1))
+            disc = _json_int(data.get("disc", 1))
             rat = Fraction(data.get("rat", 0))
             irr = Fraction(data.get("irr", 0))
-            if irr == 0 and ctx is not None:
-                return FieldElement(ctx, rat)
-            target = ctx if (ctx is not None and ctx.disc == disc) else FieldContext(disc)
-            return FieldElement(target, rat, irr)
+            if ctx is None:
+                ctx = FieldContext(disc)
+            elif irr != 0 and ctx.disc != disc:
+                raise ContextMismatchError(
+                    f"an element of Q(sqrt({disc})) is not in Q(sqrt({ctx.disc}))")
+            return FieldElement(ctx, rat, irr)
         raise ValueError(f"cannot parse field element from {data!r}")
 
 
@@ -500,6 +499,24 @@ def sqrt_element(x: FieldElement) -> Optional[FieldElement]:
         if cand * cand == x:
             return cand
     return None
+
+
+def sqrt_or_extend(x: FieldElement) -> FieldElement:
+    """A square root of ``x`` in its own field (:func:`sqrt_element`), else
+    ``s*sqrt(D)`` for ``x = s**2 * D`` over Q; only one extension is
+    allowed, so over Q(sqrt(D)) a missing root raises
+    :class:`ExtensionRequiredError`.
+
+    >>> sqrt_or_extend(QQ.rational(8))
+    FieldElement(0 + 2*sqrt(2))
+    """
+    root = sqrt_element(x)
+    if root is not None:
+        return root
+    if x.ctx.disc != 1:
+        raise ExtensionRequiredError(f"a square root of {x!r} needs a second quadratic extension")
+    scale, disc = square_free_decomposition(x.rat)
+    return FieldElement(FieldContext(disc), _ZERO, scale)
 
 
 def is_valid_q(x: FieldElement) -> bool:

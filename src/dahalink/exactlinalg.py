@@ -23,7 +23,6 @@ __all__ = [
     "eigenspace",
     "rank",
     "char_poly",
-    "change_of_basis",
     "restrict_to_basis",
     "is_tridiagonal",
     "is_irreducible_tridiagonal",
@@ -121,9 +120,6 @@ class ExactMatrix:
     def col(self, j: int) -> Vector:
         return tuple(self.rows[i][j] for i in range(self.nrows))
 
-    def cols(self) -> list[Vector]:
-        return [self.col(j) for j in range(self.ncols)]
-
     @property
     def is_square(self) -> bool:
         return self.nrows == self.ncols
@@ -131,12 +127,12 @@ class ExactMatrix:
     # -- ring operations ---------------------------------------------------------
 
     def __add__(self, other: "ExactMatrix") -> "ExactMatrix":
-        self._check_shape(other, same=True)
+        self._check_shape(other)
         return self._same_field(other)(self.ctx, [[a + b for a, b in zip(r1, r2)]
                                                   for r1, r2 in zip(self.rows, other.rows)])
 
     def __sub__(self, other: "ExactMatrix") -> "ExactMatrix":
-        self._check_shape(other, same=True)
+        self._check_shape(other)
         return self._same_field(other)(self.ctx, [[a - b for a, b in zip(r1, r2)]
                                                   for r1, r2 in zip(self.rows, other.rows)])
 
@@ -201,8 +197,8 @@ class ExactMatrix:
     def shape(self) -> tuple[int, int]:
         return self.nrows, self.ncols
 
-    def _check_shape(self, other: "ExactMatrix", same: bool = False) -> None:
-        if same and self.shape != other.shape:
+    def _check_shape(self, other: "ExactMatrix") -> None:
+        if self.shape != other.shape:
             raise ValueError(f"shape mismatch {self.shape} vs {other.shape}")
 
     def _same_field(self, other: "ExactMatrix"):
@@ -413,21 +409,6 @@ class Subspace:
 # ---------------------------------------------------------------------------
 
 
-def change_of_basis(m: Union[ExactMatrix, Sequence[ExactMatrix]],
-                    p: ExactMatrix) -> Union[ExactMatrix, list[ExactMatrix]]:
-    """The matrix of the same operator in the basis given by the columns of
-    ``P``: returns ``P^{-1} M P``; for a sequence of operators, the list of
-    their matrices in that basis.  No inverse is formed: one elimination of
-    ``[P | M_1 P | ... | M_k P]`` yields every ``P^{-1} M_j P`` at once.
-    Raises :class:`SingularMatrixError` when ``P`` is singular.
-    """
-    if not p.is_square:
-        raise SingularMatrixError("only square matrices invert")
-    ops = [m] if isinstance(m, ExactMatrix) else m
-    out = _reduce_against(p, [op * p for op in ops], SingularMatrixError("matrix is singular"))
-    return out[0] if isinstance(m, ExactMatrix) else out
-
-
 def restrict_to_basis(m: Union[ExactMatrix, Sequence[ExactMatrix]],
                       vectors: Sequence[Sequence[FieldElement]]
                       ) -> Union[ExactMatrix, list[ExactMatrix]]:
@@ -436,7 +417,9 @@ def restrict_to_basis(m: Union[ExactMatrix, Sequence[ExactMatrix]],
     restrictions.  With ``B`` holding the vectors as columns, one elimination
     of ``[B | M v_1 ... M v_k]`` checks independence (``ValueError`` if the
     vectors are dependent) and invariance (:class:`NotInvariantError` if an
-    image leaves the span) and yields the coordinates of every image.
+    image leaves the span) and yields the coordinates of every image.  For
+    a basis of the whole space this is the base change ``B^{-1} M B``,
+    formed without an inverse.
     """
     if not vectors:
         raise ValueError("empty basis")

@@ -33,23 +33,23 @@ from fractions import Fraction
 from typing import Collection, Optional, Sequence
 
 from .exactfield import (
-    ExtensionRequiredError,
     FieldContext,
     FieldElement,
     QQ,
+    _json_int,
     int_pow,
     is_valid_q,
     sqrt_element,
-    square_free_decomposition,
+    sqrt_or_extend,
 )
 from .exactlinalg import (
     ExactMatrix,
     Vector,
-    change_of_basis,
     char_poly,
     eigenspace,
     is_irreducible_tridiagonal,
     rank,
+    restrict_to_basis,
 )
 
 __all__ = [
@@ -68,6 +68,7 @@ __all__ = [
     "build_pair_from_huang",
     "askey_wilson_third",
     "common_context",
+    "MAX_DIAMETER",
 ]
 
 
@@ -158,6 +159,11 @@ class ParameterArray:
         return cls(grab("theta"), grab("theta_star"), grab("phi"), grab("phi2"))
 
 
+#: The largest diameter of Huang data, and ``daha.MAX_N``: no module here
+#: realizes a larger one.
+MAX_DIAMETER = 255
+
+
 @dataclass(frozen=True)
 class HuangData:
     """The scalars (a, b, c) and diameter d parametrizing a q-Racah pair."""
@@ -170,6 +176,8 @@ class HuangData:
     def __post_init__(self) -> None:
         if self.d < 0:
             raise ValueError("diameter must be nonnegative")
+        if self.d > MAX_DIAMETER:
+            raise ValueError(f"diameter {self.d} exceeds {MAX_DIAMETER}")
         if not (self.a and self.b and self.c):
             raise ValueError("Huang scalars must be nonzero")
         ctx = common_context(self.a, self.b, self.c)
@@ -191,7 +199,7 @@ class HuangData:
             FieldElement.from_json(data["a"], ctx),
             FieldElement.from_json(data["b"], ctx),
             FieldElement.from_json(data["c"], ctx),
-            int(data["d"]),
+            _json_int(data["d"]),
         )
 
 
@@ -385,7 +393,7 @@ def _ordering_via_eigenbasis(m: ExactMatrix, evs: Sequence[FieldElement],
     """Standard ordering of the eigenvalues ``evs`` (eigenvectors ``vecs``)
     of another operator making ``m`` irreducible tridiagonal in that
     eigenbasis, or None."""
-    rep = change_of_basis(m, ExactMatrix.from_cols(m.ctx, vecs))
+    rep = restrict_to_basis(m, vecs)
     n = rep.nrows
     # the off-diagonal support of rep must be a path
     order = _walk_path([{j for j in range(n) if j != i and (rep.rows[i][j] or rep.rows[j][i])}
@@ -567,12 +575,7 @@ def qracah_parameter(theta: Sequence[FieldElement], q: FieldElement) -> Optional
     th = [ctx.lift(x) for x in theta]
     qq = ctx.lift(q)
     if d == 0:
-        disc = th[0] * th[0] - 4
-        s = sqrt_element(disc)
-        if s is None:
-            return None
-        alpha = (th[0] + s) * FieldElement(ctx, Fraction(1, 2))
-        return alpha if alpha else None
+        return _reciprocal_root(th[0])
     # theta_r = u q^{2r} + w q^{-2r} with u = alpha q^{-d}, w = alpha^{-1} q^{d}
     q2 = qq * qq
     q2i = q2.inv()
@@ -585,6 +588,15 @@ def qracah_parameter(theta: Sequence[FieldElement], q: FieldElement) -> Optional
         if th[r] != u * int_pow(qq, 2 * r) + w * int_pow(qq, -2 * r):
             return None
     return u * int_pow(qq, d)
+
+
+def _reciprocal_root(s: FieldElement) -> Optional[FieldElement]:
+    """The root (s + sqrt(s^2 - 4))/2 of x + x^{-1} = s, or None when the
+    square root is not in the field of s."""
+    root = sqrt_element(s * s - 4)
+    if root is None:
+        return None
+    return (s + root) * FieldElement(s.ctx, Fraction(1, 2))
 
 
 def _phi_formula(a: FieldElement, b: FieldElement, c: FieldElement,
@@ -623,19 +635,10 @@ def huang_data_from_array(pa: ParameterArray, q: FieldElement) -> Optional[Huang
     K = a.inv() * b.inv() * qe(d + 1) * (qq - qe(-1)) * (qe(-d) - qe(d))
     phi1 = ctx.lift(pa.phi[0])
     s = (qe(-2) + a * a * b * b * qe(-2 * d) - phi1 * K.inv()) * (a * b * qe(-d - 1)).inv()
-    disc = s * s - 4
-    root = sqrt_element(disc)
-    if root is None:
-        if ctx.disc != 1:
-            raise ExtensionRequiredError(
-                "solving for c needs a second quadratic extension")
-        scale, fresh = square_free_decomposition(disc.rat)
-        ctx = FieldContext(fresh)
-        a, b, qq, s = (FieldElement(ctx, x.rat) for x in (a, b, qq, s))
-        root = FieldElement(ctx, Fraction(0), scale)
+    root = sqrt_or_extend(s * s - 4)
+    ctx = root.ctx
+    a, b, qq, s = (ctx.lift(x) for x in (a, b, qq, s))
     c = (s + root) * FieldElement(ctx, Fraction(1, 2))
-    if not c:
-        return None
     ai = a.inv()        # varphi_r(a, b, c) = phi_r(a^{-1}, b, c)
     for r in range(1, d + 1):
         if _phi_formula(a, b, c, d, qq, r) != pa.phi[r - 1]:

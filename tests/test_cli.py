@@ -331,3 +331,112 @@ def test_oversized_n_is_rejected_at_once(capsys, tmp_path):
     assert code == 2 and rep["error"] == "DS n-too-large" and seconds < 1
     code, rep, seconds = timed_run(capsys, "suite", "--max-n", "100000")
     assert code == 2 and "max-n" in rep["error"] and seconds < 1
+
+
+def test_huang_diameter_past_the_bound_is_a_parse_error(capsys, tmp_path):
+    big = write_huang(tmp_path, "big.json", 3, 5, 7, 10 ** 6)
+    small = write_huang(tmp_path, "small.json", 3, 5, 7, 2)
+    for argv in (("check-huang", big), ("link", big, small), ("link", small, big, "--construct")):
+        code, rep, seconds = timed_run(capsys, *argv)
+        assert code == 1 and "diameter" in rep["error"] and seconds < 1
+
+
+@pytest.mark.parametrize("value", ["1e400", "-1e400", "3.7"])
+def test_non_integral_n_d_and_disc_are_parse_errors(capsys, tmp_path, value):
+    # 1e400 reads as float infinity, which int() cannot take
+    desc = tmp_path / "desc.json"
+    desc.write_text('{"xtype": "DDa", "n": %s, "q": 2, "k": ["1/4", 3, 7, 5]}' % value)
+    diam = tmp_path / "d.json"
+    diam.write_text('{"a": 3, "b": 5, "c": 7, "d": %s, "q": 2}' % value)
+    disc = tmp_path / "disc.json"
+    disc.write_text('{"a": {"rat": 1, "irr": 1, "disc": %s}, "b": 5, "c": 7, "d": 1, "q": 2}'
+                    % value)
+    other = write_huang(tmp_path, "other.json", 3, 5, 7, 2)
+    for argv in (("construct", str(desc)), ("extract", str(desc)), ("verify", str(desc)),
+                 ("check-huang", str(diam)), ("link", str(diam), other),
+                 ("check-huang", str(disc)), ("link", other, str(disc))):
+        code, rep, seconds = timed_run(capsys, *argv)
+        assert code == 1 and "error" in rep and seconds < 1
+
+
+# no prime factor below the trial bound 2**20: one square-free check costs
+# a full trial division
+_SLOW_DISC = 1048583 * 1048589
+
+
+def test_huang_file_builds_its_field_once(capsys, tmp_path, monkeypatch):
+    import dahalink.exactfield as exactfield
+
+    calls = []
+    original = exactfield._square_free_int
+    monkeypatch.setattr(exactfield, "_square_free_int",
+                        lambda n: calls.append(n) or original(n))
+    elem = {"rat": "1", "irr": "1", "disc": _SLOW_DISC}
+    h = write_huang(tmp_path, "h.json", elem, dict(elem, rat="3"), dict(elem, irr="2"), 1)
+    code, rep = run(capsys, "check-huang", h)
+    assert code in (0, 2) and "admissible" in rep
+    assert calls.count(_SLOW_DISC) == 1
+
+
+def test_module_entries_of_a_foreign_field_are_refused_at_once(capsys, tmp_path):
+    n = 20
+    t = [{"nrows": n + 1, "ncols": n + 1,
+          "entries": [[{"rat": "1", "irr": "1", "disc": _SLOW_DISC}] * (n + 1)] * (n + 1)}] * 4
+    p = tmp_path / "module.json"
+    p.write_text(json.dumps({"xtype": "DS", "n": n, "q": 2,
+                             "k": [3, 5, 7, "1/220200960"], "t": t}))
+    for command in ("verify", "extract"):
+        code, rep, seconds = timed_run(capsys, command, str(p))
+        assert code == 1 and f"Q(sqrt({_SLOW_DISC}))" in rep["error"] and seconds < 1
+
+
+def test_extract_dual_route_check_can_fail(capsys, monkeypatch, flagship_descriptor):
+    import dahalink.cli as cli
+    from dahalink.exactfield import QQ
+    from dahalink.leonard import HuangData
+
+    code, rep = run(capsys, "extract", flagship_descriptor)
+    assert code == 0
+    assert {"name": "huang-dual-route-agreement", "passed": True} in rep["checks"]
+    wrong = HuangData(QQ.rational(11), QQ.rational(13), QQ.rational(17), 2)
+    monkeypatch.setattr(cli, "huang_data_from_array", lambda pa, q: wrong)
+    code, rep = run(capsys, "extract", flagship_descriptor)
+    assert code == 2
+    assert {"name": "huang-dual-route-agreement", "passed": False} in rep["checks"]
+    assert rep["huang_plus"]["a"]["rat"] == "3"       # the closed forms are still reported
+
+
+def test_extract_dual_route_check_over_an_irrational_spectrum(capsys, tmp_path):
+    # DS with k0*k1 = sqrt 2: every restricted eigenvalue
+    # sqrt2*q^(2r) + q^(-2r)/sqrt2 is pure irrational, beyond root search
+    sqrt2 = lambda c: {"rat": "0", "irr": c, "disc": 2}
+    p = tmp_path / "ds.json"
+    p.write_text(json.dumps({"xtype": "DS", "n": 4, "q": 2,
+                             "k": [sqrt2("1"), 1, 3, sqrt2("1/192")]}))
+    code, rep = run(capsys, "extract", str(p))
+    assert code == 0
+    assert {"name": "huang-dual-route-agreement", "passed": True} in rep["checks"]
+    assert rep["huang_plus"]["a"] == sqrt2("4")
+
+
+def test_link_construct_scans_the_case_rows_once_per_construction(capsys, tmp_path, monkeypatch):
+    import dahalink.cli as cli
+    import dahalink.daha as daha
+
+    calls = []
+    original = daha.link_check
+
+    def counting(h, h2, q):
+        calls.append((h.d, h2.d))
+        return original(h, h2, q)
+
+    monkeypatch.setattr(daha, "link_check", counting)
+    monkeypatch.setattr(cli, "link_check", counting)
+    h1 = write_huang(tmp_path, "h1.json", 3, 5, 7, 2)
+    h2 = write_huang(tmp_path, "h2.json", 3, 5, 7, 0)
+    code, rep = run(capsys, "link", h1, h2, "--construct")
+    assert code == 0 and rep["exchanged"] is False and len(calls) == 2
+    calls.clear()
+    code, rep = run(capsys, "link", h2, h1, "--construct")
+    assert code == 0 and rep["exchanged"] is True and rep["case_used"]["case"] == "vii"
+    assert calls == [(0, 2), (0, 2), (2, 0)]      # the command, the outer and the inner one

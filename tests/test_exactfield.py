@@ -18,8 +18,10 @@ from dahalink.exactfield import (
     is_valid_q,
     sqrt_element,
     sqrt_in_field,
+    sqrt_or_extend,
     square_free_decomposition,
 )
+import dahalink.exactfield as exactfield
 
 
 def rnd_element(rng, ctx):
@@ -156,6 +158,12 @@ def test_mixed_coercion_with_ints_and_fractions():
     assert 2 - x == ctx.element(-1, -1)
     assert (x - x) == 0
     assert ctx.rational(7) == 7 and ctx.rational(7) == Fraction(7)
+    # a non-number is not coerced, not even a float with an exact value
+    for other in (0.5, "1", None):
+        assert x.__add__(other) is NotImplemented
+        assert x.__rtruediv__(other) is NotImplemented
+    with pytest.raises(TypeError):
+        x * 0.5
 
 
 def test_cross_context_rationals_combine():
@@ -237,6 +245,25 @@ def test_from_json_rejects_garbage():
         FieldElement.from_json([1, 2])
     with pytest.raises(ZeroDivisionError):
         FieldElement.from_json({"rat": "1/0", "irr": "0", "disc": 1})
+    # a discriminant must be an integer; a float one must be integral
+    for disc in (float("inf"), float("nan"), 2.5):
+        with pytest.raises(ValueError):
+            FieldElement.from_json({"rat": "1", "irr": "1", "disc": disc})
+    assert FieldElement.from_json({"rat": "1", "irr": "1", "disc": 5.0}).ctx == FieldContext(5)
+
+
+def test_from_json_in_a_context_refuses_foreign_irrationals_unbuilt(monkeypatch):
+    ctx = FieldContext(2)
+    calls = []
+    original = exactfield._square_free_int
+    monkeypatch.setattr(exactfield, "_square_free_int",
+                        lambda n: calls.append(n) or original(n))
+    with pytest.raises(ContextMismatchError):
+        FieldElement.from_json({"rat": "1", "irr": "1", "disc": 1048583 * 1048589}, ctx)
+    x = FieldElement.from_json({"rat": "1/2", "irr": "0", "disc": 3}, ctx)
+    y = FieldElement.from_json({"rat": "1", "irr": "3", "disc": 2}, ctx)
+    assert x.ctx is ctx and x == Fraction(1, 2) and y.ctx is ctx and y.irr == 3
+    assert calls == []
 
 
 def test_square_free_decomposition():
@@ -307,6 +334,23 @@ def test_sqrt_element_general_roots():
     # ExtensionRequiredError is the *callers'* signal; the base layer only
     # answers in-field questions but must expose the type for them
     assert issubclass(ExtensionRequiredError, ValueError)
+
+
+def test_sqrt_or_extend():
+    # a root inside the field
+    assert sqrt_or_extend(QQ.rational(9, 4)) == Fraction(3, 2)
+    ctx = FieldContext(5)
+    r = sqrt_or_extend(ctx.element(6, 2))               # (1 + sqrt 5)^2
+    assert r.ctx == ctx and r * r == ctx.element(6, 2)
+    # an extension of Q by the square-free part
+    for value, disc, irr in ((8, 2, 2), (Fraction(-3, 2), -6, Fraction(1, 2))):
+        r = sqrt_or_extend(QQ.from_fraction(Fraction(value)))
+        assert r.ctx == FieldContext(disc) and r.rat == 0 and r.irr == irr
+        assert r * r == value
+    # over an extension no second one is taken
+    for x in (ctx.rational(2), ctx.element(0, 1)):
+        with pytest.raises(ExtensionRequiredError):
+            sqrt_or_extend(x)
 
 
 def test_is_valid_q():

@@ -54,6 +54,9 @@ def test_huang_data_validation():
     assert h.a == 3 and h.d == 2
     with pytest.raises(ValueError):
         hd(3, 5, 7, -1)
+    assert hd(3, 5, 7, 255).d == 255          # MAX_DIAMETER, which is daha.MAX_N
+    with pytest.raises(ValueError):
+        hd(3, 5, 7, 256)
     with pytest.raises(ValueError):
         HuangData(QQ.zero(), QQ.rational(5), QQ.rational(7), 1)
 
