@@ -50,11 +50,11 @@ from .daha import (
     LinkError,
     Report,
     XType,
+    _construct_from,
     build_module,
     derived_elements,
     eigenvalue_ladder,
     link_check,
-    link_construct,
     restricted_leonard_pairs,
     sample_params,
     twist,
@@ -116,9 +116,17 @@ def _parse_descriptor(data: dict) -> tuple[XType, int, FieldElement, tuple]:
             raise ValueError("k must be a list of four elements")
     except (KeyError, ValueError, TypeError) as exc:
         raise CliParseError(f"bad descriptor: {exc}") from exc
-    q = _field(data["q"] if "q" in data else None, "q")
-    k = tuple(_field(x, f"k{i}") for i, x in enumerate(kraw))
-    return xtype, n, q, k
+    q, *k = _fields([("q", data.get("q"))] + [(f"k{i}", x) for i, x in enumerate(kraw)])
+    return xtype, n, q, tuple(k)
+
+
+def _fields(items: Sequence[tuple[str, object]]) -> list[FieldElement]:
+    """The named elements; the first with a discriminant fixes the field of the rest."""
+    ctx, out = None, []
+    for what, value in items:
+        out.append(_field(value, what, ctx))
+        ctx = out[-1].ctx if out[-1].ctx.disc != 1 else ctx
+    return out
 
 
 def _parse_huang(path: str) -> tuple[HuangData, FieldElement]:
@@ -127,12 +135,7 @@ def _parse_huang(path: str) -> tuple[HuangData, FieldElement]:
         d = _json_int(data["d"])
     except (KeyError, ValueError, TypeError) as exc:
         raise CliParseError(f"{path}: bad diameter: {exc}") from exc
-    # the first of a, b, c with a discriminant fixes the field of the rest
-    ctx, abc = None, []
-    for key, default in (("a", None), ("b", None), ("c", 1)):
-        abc.append(_field(data.get(key, default), key, ctx))
-        if abc[-1].ctx.disc != 1:
-            ctx = abc[-1].ctx
+    abc = _fields([("a", data.get("a")), ("b", data.get("b")), ("c", data.get("c", 1))])
     q = _field(data.get("q"), "q")
     try:
         return HuangData(*abc, d), q
@@ -262,7 +265,7 @@ def cmd_link(args: argparse.Namespace, started: float) -> int:
         return _finish("link", payload, [], started, args.out, EXIT_NO_LINK)
     checks = [Check("linked", True)]
     if args.construct:
-        lc = link_construct(h, h2, q, args.sign)
+        lc = _construct_from(h, h2, q, args.sign, witnesses)
         got_plus, got_minus = lc.plus, lc.minus
         payload["module"] = lc.module.to_json()
         payload["case_used"] = lc.case.to_json()
@@ -354,7 +357,7 @@ def run_suite(seed: int, max_n: int) -> list[Check]:
                     if not any(w.case_id == expect for w in witnesses):
                         failures.append(f"{tag}: missing case {expect}")
                         continue
-                    link_construct(hp, hm, q)
+                    _construct_from(hp, hm, q, None, witnesses)
                     linked += 1
                 except Exception as exc:  # noqa: BLE001 - collected into the report
                     failures.append(f"{tag}: {exc}")

@@ -1235,7 +1235,12 @@ def link_construct(h: HuangData, h2: HuangData, q: FieldElement,
     result is verified: parameters validate, the module is feasible, and
     the extracted Huang data are equivalent to the inputs.
     """
-    witnesses = link_check(h, h2, q)
+    return _construct_from(h, h2, q, sign, link_check(h, h2, q))
+
+
+def _construct_from(h: HuangData, h2: HuangData, q: FieldElement, sign: Optional[str],
+                    witnesses: Sequence[LinkCase]) -> LinkConstruction:
+    """:func:`link_construct` given the witnesses of ``link_check(h, h2, q)``."""
     if not witnesses:
         raise LinkError("the Huang data are not linked")
     chosen = witnesses[0]

@@ -250,6 +250,15 @@ class FieldElement:
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("FieldElement is immutable")
 
+    @classmethod
+    def _of(cls, ctx: FieldContext, rat: Fraction, irr: Fraction = _ZERO) -> "FieldElement":
+        """``rat + irr*sqrt(D)`` from Fractions without ``__init__``'s checks (product kernel)."""
+        x = object.__new__(cls)
+        object.__setattr__(x, "ctx", ctx)
+        object.__setattr__(x, "rat", rat)
+        object.__setattr__(x, "irr", irr)
+        return x
+
     # -- coercion ----------------------------------------------------------
 
     def _pair(self, other: Coercible) -> Optional[tuple["FieldElement", "FieldElement"]]:

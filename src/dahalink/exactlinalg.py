@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Callable, Iterable, Optional, Sequence, Union
 
-from .exactfield import FieldContext, FieldElement, QQ
+from .exactfield import _ZERO, FieldContext, FieldElement, QQ, _plus
 
 __all__ = [
     "ExactMatrix",
@@ -144,15 +144,43 @@ class ExactMatrix:
             return NotImplemented
         if self.ncols != other.nrows:
             raise ValueError(f"shape mismatch {self.shape} * {other.shape}")
-        # Module generators are built from 2x2 blocks, so most terms are 0*x.
-        ocols = [[(i, b) for i, b in enumerate(other.col(j)) if b] for j in range(other.ncols)]
-        zero = self.ctx.zero()
-        out = []
-        for row in self.rows:
-            nz = {i: a for i, a in enumerate(row) if a}
-            out.append([_sum_of_products((nz[i], b) for i, b in c if i in nz) or zero
-                        for c in ocols])
-        return self._same_field(other)(self.ctx, out)
+        ctx = self.ctx
+        if other.ctx is not ctx:
+            other = ExactMatrix(ctx, other.rows)  # a foreign irrational entry raises here
+        # Generators are built from 2x2 blocks, so most terms are 0*x.  The kernel
+        # works on the Fraction parts of nonzero entries (over Q(sqrt D) by the
+        # graded rule of FieldElement.__mul__) and wraps each nonzero sum once.
+        d, zero, make, out = ctx.disc, ctx.zero(), FieldElement._of, []
+        if d == 1:
+            ocols = [[(i, b.rat) for i, b in enumerate(col) if b.rat] for col in zip(*other.rows)]
+            for row in self.rows:
+                nz = {i: a.rat for i, a in enumerate(row) if a.rat}
+                entries = []
+                for col in ocols:
+                    acc = None
+                    for i, b in col:
+                        if i in nz:
+                            acc = nz[i] * b if acc is None else acc + nz[i] * b
+                    entries.append(make(ctx, acc) if acc else zero)
+                out.append(entries)
+        else:
+            ocols = [[(i, b.rat, b.irr) for i, b in enumerate(col) if b.rat or b.irr]
+                     for col in zip(*other.rows)]
+            for row in self.rows:
+                nz = {i: (a.rat, a.irr) for i, a in enumerate(row) if a.rat or a.irr}
+                entries = []
+                for col in ocols:
+                    rat = irr = _ZERO
+                    for i, br, bi in col:
+                        if i in nz:
+                            ar, ai = nz[i]
+                            rat = _plus(rat, _plus(ar * br if ar and br else _ZERO,
+                                                   d * ai * bi if ai and bi else _ZERO))
+                            irr = _plus(irr, _plus(ar * bi if ar and bi else _ZERO,
+                                                   ai * br if ai and br else _ZERO))
+                    entries.append(make(ctx, rat, irr) if rat or irr else zero)
+                out.append(entries)
+        return ExactMatrix._of(ctx, out)
 
     def scale(self, c) -> "ExactMatrix":
         c = self.ctx.lift(c)
@@ -231,19 +259,14 @@ class ExactMatrix:
         return cls.from_rows(ctx, entries)
 
 
-def _sum_of_products(pairs: Iterable[tuple[FieldElement, FieldElement]]) -> Optional[FieldElement]:
-    """``sum(a * b for a, b in pairs)``, or None when there are no pairs."""
-    acc = None
-    for a, b in pairs:
-        term = a * b
-        acc = term if acc is None else acc + term
-    return acc
-
-
 def _dot(u: Sequence[FieldElement], v: Sequence[FieldElement]) -> FieldElement:
     if not u or not v:
         raise ValueError("dot product of empty vectors")
-    return _sum_of_products((a, b) for a, b in zip(u, v) if a and b) or u[0].ctx.zero()
+    acc = None
+    for a, b in zip(u, v):
+        if a and b:
+            acc = a * b if acc is None else acc + a * b
+    return acc or u[0].ctx.zero()
 
 
 def _short(e: FieldElement) -> str:

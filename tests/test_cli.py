@@ -220,13 +220,13 @@ def test_main_calls_in_one_process_behave_as_fresh_runs(capsys, tmp_path, monkey
     import dahalink.cli as cli
 
     signs = []
-    original = cli.link_construct
+    original = cli._construct_from
 
-    def spying(h, h2, q, sign):
+    def spying(h, h2, q, sign, witnesses):
         signs.append(sign)
-        return original(h, h2, q, sign)
+        return original(h, h2, q, sign, witnesses)
 
-    monkeypatch.setattr(cli, "link_construct", spying)
+    monkeypatch.setattr(cli, "_construct_from", spying)
     h1 = write_huang(tmp_path, "h1.json", 30, "1/140", 42, 1)
     h2 = write_huang(tmp_path, "h2.json", 60, "1/70", 84, 0)
     code, first = run(capsys, "link", h1, h2, "--construct")
@@ -378,6 +378,31 @@ def test_huang_file_builds_its_field_once(capsys, tmp_path, monkeypatch):
     assert calls.count(_SLOW_DISC) == 1
 
 
+def test_descriptor_builds_its_field_once(capsys, tmp_path, monkeypatch):
+    import dahalink.exactfield as exactfield
+
+    calls = []
+    original = exactfield._square_free_int
+    monkeypatch.setattr(exactfield, "_square_free_int",
+                        lambda n: calls.append(n) or original(n))
+    rational = lambda r: {"rat": r, "irr": "0", "disc": _SLOW_DISC}
+    p = tmp_path / "desc.json"
+    p.write_text(json.dumps({"xtype": "DDa", "n": 3, "q": rational("2"),
+                             "k": [rational(r) for r in ("1/4", "3", "7", "5")]}))
+    code, rep = run(capsys, "construct", str(p))
+    assert code == 0 and rep["module"]["k"][1] == rational("3")
+    assert calls.count(_SLOW_DISC) == 1
+
+
+def test_descriptor_with_k_in_two_extensions_is_a_parse_error(capsys, tmp_path):
+    root = lambda disc: {"rat": "0", "irr": "1", "disc": disc}
+    p = tmp_path / "desc.json"
+    p.write_text(json.dumps({"xtype": "DS", "n": 2, "q": 2, "k": [root(2), root(3), 7, 11]}))
+    for command in ("construct", "verify", "extract"):
+        code, rep = run(capsys, command, str(p))
+        assert code == 1 and "k1" in rep["error"]
+
+
 def test_module_entries_of_a_foreign_field_are_refused_at_once(capsys, tmp_path):
     n = 20
     t = [{"nrows": n + 1, "ncols": n + 1,
@@ -435,8 +460,8 @@ def test_link_construct_scans_the_case_rows_once_per_construction(capsys, tmp_pa
     h1 = write_huang(tmp_path, "h1.json", 3, 5, 7, 2)
     h2 = write_huang(tmp_path, "h2.json", 3, 5, 7, 0)
     code, rep = run(capsys, "link", h1, h2, "--construct")
-    assert code == 0 and rep["exchanged"] is False and len(calls) == 2
+    assert code == 0 and rep["exchanged"] is False and calls == [(2, 0)]
     calls.clear()
     code, rep = run(capsys, "link", h2, h1, "--construct")
     assert code == 0 and rep["exchanged"] is True and rep["case_used"]["case"] == "vii"
-    assert calls == [(0, 2), (0, 2), (2, 0)]      # the command, the outer and the inner one
+    assert calls == [(0, 2), (2, 0)]      # the command's scan, then the exchanged inner one

@@ -154,6 +154,39 @@ def test_matrices_derived_in_one_field_skip_the_entry_lift(monkeypatch):
         M([[1, 0], [0, 1]]) * a
 
 
+def test_products_over_one_context_call_no_element_operator(monkeypatch):
+    from dahalink.exactfield import FieldElement
+
+    cases = []
+    for ctx in (QQ, FieldContext(3)):
+        r3 = ctx.element(0, 1) if ctx.disc == 3 else ctx.rational(1, 2)
+        a = M([[r3, 1, 0], [0, 0, 0], [2, r3 + 1, "1/3"]], ctx)
+        b = M([[r3, 0], [-3 if ctx.disc == 3 else "-1/4", 5], [0, r3]], ctx)
+        expected = [[sum((a[i, t] * b[t, j] for t in range(3)), ctx.zero()) for j in range(2)]
+                    for i in range(3)]
+        cases.append((a, b, expected))
+
+    def refuse(*args):
+        raise AssertionError("an element operator was called")
+
+    with monkeypatch.context() as mp:
+        for name in ("__mul__", "__rmul__", "__add__", "__radd__", "__sub__", "__bool__"):
+            mp.setattr(FieldElement, name, refuse)
+        products = [a * b for a, b, _ in cases]
+    for prod, (a, _, expected) in zip(products, cases):
+        assert [list(row) for row in prod.rows] == expected
+        assert all(x.ctx is a.ctx for row in prod.rows for x in row)
+
+
+def test_a_cancelled_product_entry_is_the_shared_zero():
+    ctx = FieldContext(3)
+    for a, b in ((M([[1, 1]]), M([[1, 0], [-1, 0]])),
+                 (M([[ctx.element(0, 1), 1]], ctx), M([[ctx.element(0, 1), 0], [-3, 0]], ctx))):
+        prod = a * b
+        assert not prod[0, 0] and prod[0, 0] is prod[0, 1]
+        assert prod.to_json()["entries"][0][0] == {"rat": "0", "irr": "0", "disc": a.ctx.disc}
+
+
 def test_shape_mismatch_raises():
     with pytest.raises(ValueError):
         M([[1, 2]]) + M([[1], [2]])

@@ -1,11 +1,13 @@
 """Exact linear algebra against sympy's ``DomainMatrix`` as an oracle.
 
 ``ExactMatrix.shift``, ``rank``, the dimension of ``eigenspace``,
-``char_poly`` and ``ExactMatrix.inverse`` are compared with sympy over Q,
-Q(sqrt 2) and Q(sqrt 5) on small matrices drawn by hypothesis.  A drawn
-matrix is ``U V + lam I`` with ``U`` n x k and ``V`` k x n, so for k < n it
-has the eigenvalue ``lam`` with an eigenspace of dimension at least n - k,
-and rank drops when ``lam`` is zero.  Sympy and hypothesis are test
+``char_poly``, ``ExactMatrix.inverse`` and the product ``A * B`` are
+compared with sympy over Q, Q(sqrt 2) and Q(sqrt 5) on small matrices drawn
+by hypothesis.  A drawn square matrix is ``U V + lam I`` with ``U`` n x k
+and ``V`` k x n, so for k < n it has the eigenvalue ``lam`` with an
+eigenspace of dimension at least n - k, and rank drops when ``lam`` is
+zero.  Product operands are rectangular and mostly zero, and one entry of
+their product may be made to cancel.  Sympy and hypothesis are test
 dependencies only; the examples are derandomized, so every run draws the
 same matrices.
 """
@@ -62,6 +64,21 @@ def _cases(draw, ctx):
     for i in range(n):
         rows[i][i] = rows[i][i] + lam
     return ExactMatrix(ctx, rows), lam, mu
+
+
+@st.composite
+def _products(draw, ctx):
+    """(A, B, cancelled): p x k and k x r operands, mostly zero; when
+    ``cancelled``, row 0 of A times column 0 of B sums to zero."""
+    elem = st.one_of(st.just(ctx.zero()), st.just(ctx.zero()), _elements(ctx))
+    p, k, r = (draw(st.integers(1, 5)) for _ in range(3))
+    a = [[draw(elem) for _ in range(k)] for _ in range(p)]
+    b = [[draw(elem) for _ in range(r)] for _ in range(k)]
+    t = next((t for t, x in enumerate(a[0]) if x), None)
+    cancelled = t is not None and draw(st.booleans())
+    if cancelled:
+        b[t][0] = b[t][0] - sum((a[0][i] * b[i][0] for i in range(k)), ctx.zero()) / a[0][t]
+    return ExactMatrix(ctx, a), ExactMatrix(ctx, b), cancelled
 
 
 def _domain(ctx):
@@ -143,3 +160,13 @@ def test_inverse_matches_oracle(ctx, data):
             m.inverse()
     else:
         assert _pairs(m.inverse()) == _oracle_pairs(dm.inv())
+
+
+@FIELDS
+@ORACLE
+@given(data=st.data())
+def test_product_matches_oracle(ctx, data):
+    a, b, cancelled = data.draw(_products(ctx))
+    prod = a * b
+    assert _pairs(prod) == _oracle_pairs(_oracle_matrix(a) * _oracle_matrix(b))
+    assert not cancelled or not prod[0, 0]
