@@ -27,7 +27,7 @@ from __future__ import annotations
 import enum
 import itertools
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import NamedTuple, Optional, Sequence
 
@@ -57,6 +57,7 @@ from .leonard import (
     LeonardPair,
     VerificationError,
     _distinct_eigenvalues,
+    _first_array,
     _proportionality,
     _reciprocal_root,
     _walk_path,
@@ -64,7 +65,6 @@ from .leonard import (
     common_context,
     huang_data_from_array,
     huang_equivalent,
-    parameter_arrays,
     recognize_leonard_pair,
 )
 
@@ -138,7 +138,8 @@ class _XTypeRow(NamedTuple):
     (:func:`_e_scalars`) are 1/((1 - q^r)(1 - k_s^2 q^r)) on even r and
     1/((1 - K q^r)(1 - K k_i^{-2} q^r)) on odd r, K = k0 k1 k2 k3, with
     s = ``e_sq`` and i = ``e_inv``; with ``e_sign`` = (u, v) they are also
-    negated and multiplied by k_u^{-2} on even r and by k_v^2 on odd r."""
+    negated and multiplied by k_u^{-2} on even r and by k_v^2 on odd r.
+    ``minus_start`` is the first index :func:`_t0_indices` takes for V(k0^{-1})."""
 
     x_base: tuple[int, int]
     y_base: tuple[int, int]
@@ -148,14 +149,15 @@ class _XTypeRow(NamedTuple):
     e_sq: int
     e_inv: int
     e_sign: Optional[tuple[int, int]]
+    minus_start: int
 
 
 _XTYPE_TABLE = {
-    XType.DS: _XTypeRow((0, 3), (0, 1), None, "ii", (1, 3, 2), 0, 2, None),
-    XType.DDa: _XTypeRow((0, 3), (0, 1), 0, "i", (1, 3, 2), 0, 2, None),
-    XType.DDb: _XTypeRow((0, 3), (2, 3), 3, "iv", (2, 0, 1), 3, 1, (0, 2)),
-    XType.SSa: _XTypeRow((1, 2), (0, 1), 1, "iii", (0, 2, 3), 1, 3, (2, 0)),
-    XType.SSb: _XTypeRow((1, 2), (2, 3), 2, "v", (3, 1, 0), 2, 0, None),
+    XType.DS: _XTypeRow((0, 3), (0, 1), None, "ii", (1, 3, 2), 0, 2, None, 2),
+    XType.DDa: _XTypeRow((0, 3), (0, 1), 0, "i", (1, 3, 2), 0, 2, None, 2),
+    XType.DDb: _XTypeRow((0, 3), (2, 3), 3, "iv", (2, 0, 1), 3, 1, (0, 2), 1),
+    XType.SSa: _XTypeRow((1, 2), (0, 1), 1, "iii", (0, 2, 3), 1, 3, (2, 0), 1),
+    XType.SSb: _XTypeRow((1, 2), (2, 3), 2, "v", (3, 1, 0), 2, 0, None, 0),
 }
 
 
@@ -845,13 +847,8 @@ def u_basis(m: HqModule) -> UBasis:
 def _t0_indices(xtype: XType, n: int) -> tuple[list[int], list[int]]:
     """The rescaled flattening vectors whose projections span V(k0) and
     V(k0^{-1}); their counts are the dimensions d+1 and d'+1."""
-    if xtype is XType.DS:
-        return list(range(0, n + 1, 2)), list(range(2, n + 1, 2))
-    if xtype is XType.DDa:
-        return list(range(0, n, 2)) + [n], list(range(2, n, 2))
-    if xtype in (XType.DDb, XType.SSa):
-        return list(range(0, n, 2)), list(range(1, n + 1, 2))
-    return list(range(0, n, 2)), list(range(0, n, 2))          # SSb
+    plus = list(range(0, n + 1, 2)) + ([n] if xtype is XType.DDa else [])
+    return plus, list(range(xtype.row.minus_start, n + 1, 2))
 
 
 def t0_split(m: HqModule) -> tuple[list[Vector], list[Vector]]:
@@ -941,14 +938,25 @@ def restricted_leonard_pairs(
     m: HqModule,
 ) -> tuple[tuple[LeonardPair, HuangData], tuple[LeonardPair, HuangData]]:
     """The Leonard pairs (A, B) restricted to V(k0) and V(k0^{-1}), each
-    with its Huang data.
+    with its closed-form Huang data, verified as in :func:`_restricted_halves`
+    and against the generic Huang data (equal up to inversions)."""
+    halves = _restricted_halves(m)
+    if any(g is None or not huang_equivalent(g, h) for _, h, g in halves):
+        raise VerificationError("generic and closed-form Huang data disagree")
+    (pair_p, h_p, _), (pair_m, h_m, _) = halves
+    return (pair_p, h_p), (pair_m, h_m)
 
-    Verified exactly on each eigenspace: the restricted A is lower
-    bidiagonal and B upper bidiagonal with the predicted diagonals;
-    recognition succeeds; the Huang data computed generically from the
-    parameter array agrees (up to inversions) with the closed forms; and
-    c + c^{-1} matches its independent scalar identity when d >= 1.
-    """
+
+def _restricted_halves(
+    m: HqModule,
+) -> list[tuple[LeonardPair, HuangData, Optional[HuangData]]]:
+    """(pair, closed-form, generic Huang data) on V(k0) and V(k0^{-1}).
+
+    Verified exactly: the restricted A is lower and B upper bidiagonal with
+    the predicted diagonals, which recognition returns as standard orderings
+    up to reversal; c + c^{-1} matches its scalar identity when d >= 1.  The
+    generic data (None when not q-Racah) come from the first parameter array
+    under the recognized orderings; the caller compares them."""
     plus_basis, minus_basis = t0_split(m)
     q = m.params.q
     k0, k1, k2, k3 = m.params.k
@@ -966,14 +974,13 @@ def restricted_leonard_pairs(
         if [b_res.rows[r][r] for r in range(d + 1)] != theta_star:
             raise VerificationError("restricted B has the wrong diagonal")
         pair = LeonardPair(a_res, b_res)
-        if recognize_leonard_pair(a_res, b_res, theta, theta_star) is None:
+        rec = recognize_leonard_pair(a_res, b_res, theta, theta_star)
+        if rec is None:
             raise VerificationError("restricted pair failed Leonard recognition")
+        if any(list(r) not in (o, o[::-1]) for r, o in zip(rec, (theta, theta_star))):
+            raise VerificationError("restricted diagonals are not standard orderings")
         closed = _closed_form_huang(m, plus)
-        generic = huang_data_from_array(
-            parameter_arrays(pair, (theta, theta_star))[0], q)
-        if generic is None or not huang_equivalent(generic, closed):
-            raise VerificationError(
-                "generic and closed-form Huang data disagree")
+        generic = huang_data_from_array(_first_array(pair, *rec), q)
         if d >= 1:
             mix = (q.inv() * k0 + q * k0.inv()) if plus else (q * k0 + q.inv() * k0.inv())
             num = (mix * (k2 + k2.inv())
@@ -982,8 +989,8 @@ def restricted_leonard_pairs(
             expected = num * (int_pow(q, d + 1) + int_pow(q, -d - 1)).inv()
             if closed.c + closed.c.inv() != expected:
                 raise VerificationError("the c-scalar cross-check fails")
-        results.append((pair, closed))
-    return results[0], results[1]
+        results.append((pair, closed, generic))
+    return results
 
 
 # ---------------------------------------------------------------------------
@@ -1141,15 +1148,17 @@ class LinkCase:
 
 @dataclass(frozen=True)
 class LinkConstruction:
-    """A synthesized module, its witnessing case, and the Huang data of its
-    restricted pairs on V(k0) and V(k0^{-1}) as checked by the construction
-    (when ``exchanged``, ``plus`` realizes the second input)."""
+    """A synthesized module, its witnessing case, the Huang data of its
+    restricted pairs on V(k0) and V(k0^{-1}) (when ``exchanged``, ``plus``
+    is meant to realize the second input), and whether they are equivalent
+    to the inputs they are meant to realize."""
 
     module: HqModule
     case: LinkCase
     exchanged: bool
     plus: HuangData
     minus: HuangData
+    reproduced: bool
 
 
 def _variants(h: HuangData) -> list[tuple[tuple[int, int, int],
@@ -1235,22 +1244,27 @@ def link_construct(h: HuangData, h2: HuangData, q: FieldElement,
     result is verified: parameters validate, the module is feasible, and
     the extracted Huang data are equivalent to the inputs.
     """
-    return _construct_from(h, h2, q, sign, link_check(h, h2, q))
+    lc = _construct_from(h, h2, q, sign, link_check(h, h2, q))
+    if not lc.reproduced:
+        raise VerificationError("synthesized module does not realize the inputs")
+    return lc
 
 
 def _construct_from(h: HuangData, h2: HuangData, q: FieldElement, sign: Optional[str],
                     witnesses: Sequence[LinkCase]) -> LinkConstruction:
-    """:func:`link_construct` given the witnesses of ``link_check(h, h2, q)``."""
+    """:func:`link_construct` given the witnesses of ``link_check(h, h2, q)``,
+    reporting in ``reproduced`` instead of raising when the extracted Huang
+    data are not equivalent to the inputs."""
     if not witnesses:
         raise LinkError("the Huang data are not linked")
     chosen = witnesses[0]
     if chosen.case_id in ("vi", "vii"):
         # exchanging negates d' - d: vi (+1) and vii (+2) reappear as ii and i
         try:
-            inner = link_construct(h2, h, q, sign)
+            inner = _construct_from(h2, h, q, sign, link_check(h2, h, q))
         except LinkError:
             raise VerificationError("exchange symmetry failed to produce a witness") from None
-        return LinkConstruction(inner.module, chosen, True, inner.plus, inner.minus)
+        return replace(inner, case=chosen, exchanged=True)
     case = chosen.case_id
     side1 = dict(zip("abc", _apply_variant(h, chosen.variant)))
     side2 = dict(zip("abc", _apply_variant(h2, chosen.variant2)))
@@ -1287,9 +1301,8 @@ def _construct_from(h: HuangData, h2: HuangData, q: FieldElement, sign: Optional
         raise VerificationError("synthesized module is not feasible: "
                                 + ", ".join(report.failures()))
     (_, got_plus), (_, got_minus) = restricted_leonard_pairs(module)
-    if not huang_equivalent(got_plus, h) or not huang_equivalent(got_minus, h2):
-        raise VerificationError("synthesized module does not realize the inputs")
-    return LinkConstruction(module, chosen, False, got_plus, got_minus)
+    return LinkConstruction(module, chosen, False, got_plus, got_minus,
+                            huang_equivalent(got_plus, h) and huang_equivalent(got_minus, h2))
 
 
 def _apply_variant(h: HuangData,

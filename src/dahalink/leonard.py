@@ -510,6 +510,15 @@ def split_sequence(
     return phi
 
 
+def _first_array(P: LeonardPair, theta: Sequence[FieldElement],
+                 theta_star: Sequence[FieldElement]) -> ParameterArray:
+    """The parameter array (theta, theta*, phi, varphi) of one pair of
+    standard orderings, from its two split sequences."""
+    phi = split_sequence(P, theta, theta_star)
+    varphi = split_sequence(P, theta[::-1], theta_star)
+    return ParameterArray(tuple(theta), tuple(theta_star), tuple(phi), tuple(varphi))
+
+
 def parameter_arrays(
     P: LeonardPair,
     orderings: Optional[tuple[Sequence[FieldElement], Sequence[FieldElement]]] = None,
@@ -528,27 +537,23 @@ def parameter_arrays(
     that array's own orderings.
     """
     if orderings is None:
-        rec = recognize_leonard_pair(P.A, P.Astar)
-        if rec is None:
+        orderings = recognize_leonard_pair(P.A, P.Astar)
+        if orderings is None:
             raise ValueError("not a recognizable Leonard pair over this field")
-        theta, theta_star = list(rec[0]), list(rec[1])
-    else:
-        theta, theta_star = list(orderings[0]), list(orderings[1])
+    first = _first_array(P, *orderings)
+    theta, theta_star, phi, varphi = first.theta, first.theta_star, first.phi, first.phi2
     theta_rev = theta[::-1]
     theta_star_rev = theta_star[::-1]
-    phi = split_sequence(P, theta, theta_star)
-    varphi = split_sequence(P, theta_rev, theta_star)
     # table symmetries, each one a fresh split computation
-    if split_sequence(P, theta, theta_star_rev) != varphi[::-1]:
+    if tuple(split_sequence(P, theta, theta_star_rev)) != varphi[::-1]:
         raise VerificationError("second/first split sequence symmetry fails")
-    if split_sequence(P, theta_rev, theta_star_rev) != phi[::-1]:
+    if tuple(split_sequence(P, theta_rev, theta_star_rev)) != phi[::-1]:
         raise VerificationError("reversed split sequence symmetry fails")
-    mk = lambda th, ts, p1, p2: ParameterArray(tuple(th), tuple(ts), tuple(p1), tuple(p2))
     return [
-        mk(theta, theta_star, phi, varphi),
-        mk(theta, theta_star_rev, varphi[::-1], phi[::-1]),
-        mk(theta_rev, theta_star, varphi, phi),
-        mk(theta_rev, theta_star_rev, phi[::-1], varphi[::-1]),
+        first,
+        ParameterArray(theta, theta_star_rev, varphi[::-1], phi[::-1]),
+        ParameterArray(theta_rev, theta_star, varphi, phi),
+        ParameterArray(theta_rev, theta_star_rev, phi[::-1], varphi[::-1]),
     ]
 
 
@@ -711,7 +716,7 @@ def build_pair_from_huang(h: HuangData, q: FieldElement) -> LeonardPair:
     rec = recognize_leonard_pair(pair.A, pair.Astar, theta, theta_star)
     if rec is None:
         raise VerificationError("constructed pair failed recognition")
-    back = huang_data_from_array(parameter_arrays(pair, (theta, theta_star))[0], qq)
+    back = huang_data_from_array(_first_array(pair, theta, theta_star), qq)
     if back is None or not huang_equivalent(back, h):
         raise VerificationError("Huang data round trip failed")
     return pair

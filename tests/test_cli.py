@@ -416,7 +416,7 @@ def test_module_entries_of_a_foreign_field_are_refused_at_once(capsys, tmp_path)
 
 
 def test_extract_dual_route_check_can_fail(capsys, monkeypatch, flagship_descriptor):
-    import dahalink.cli as cli
+    import dahalink.daha as daha
     from dahalink.exactfield import QQ
     from dahalink.leonard import HuangData
 
@@ -424,7 +424,7 @@ def test_extract_dual_route_check_can_fail(capsys, monkeypatch, flagship_descrip
     assert code == 0
     assert {"name": "huang-dual-route-agreement", "passed": True} in rep["checks"]
     wrong = HuangData(QQ.rational(11), QQ.rational(13), QQ.rational(17), 2)
-    monkeypatch.setattr(cli, "huang_data_from_array", lambda pa, q: wrong)
+    monkeypatch.setattr(daha, "huang_data_from_array", lambda pa, q: wrong)
     code, rep = run(capsys, "extract", flagship_descriptor)
     assert code == 2
     assert {"name": "huang-dual-route-agreement", "passed": False} in rep["checks"]
@@ -442,6 +442,52 @@ def test_extract_dual_route_check_over_an_irrational_spectrum(capsys, tmp_path):
     assert code == 0
     assert {"name": "huang-dual-route-agreement", "passed": True} in rep["checks"]
     assert rep["huang_plus"]["a"] == sqrt2("4")
+
+
+def test_extract_recognizes_and_splits_each_half_once(capsys, monkeypatch, flagship_descriptor):
+    import dahalink.cli as cli
+    import dahalink.daha as daha
+    import dahalink.leonard as leonard
+
+    calls = {name: 0 for name in ("recognize_leonard_pair", "split_sequence",
+                                  "huang_data_from_array")}
+    for name in calls:
+        original = getattr(leonard, name)
+
+        def counting(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        for layer in (leonard, daha, cli):
+            if hasattr(layer, name):
+                monkeypatch.setattr(layer, name, counting)
+    code, rep = run(capsys, "extract", flagship_descriptor)
+    assert code == 0
+    assert {"name": "huang-dual-route-agreement", "passed": True} in rep["checks"]
+    assert calls == {"recognize_leonard_pair": 2, "split_sequence": 4,
+                     "huang_data_from_array": 2}
+
+
+@pytest.mark.parametrize("order", [(0, 1), (1, 0)])      # direct and exchanged
+def test_link_reproduction_check_can_fail(capsys, tmp_path, monkeypatch, order):
+    import dahalink.daha as daha
+    from dahalink.leonard import HuangData
+
+    original = daha.restricted_leonard_pairs
+
+    def doubled_a(m):
+        (pair, h), minus = original(m)
+        return (pair, HuangData(h.a * 2, h.b, h.c, h.d)), minus
+
+    monkeypatch.setattr(daha, "restricted_leonard_pairs", doubled_a)
+    files = [write_huang(tmp_path, "h1.json", 3, 5, 7, 2),
+             write_huang(tmp_path, "h2.json", 3, 5, 7, 0)]
+    code, rep = run(capsys, "link", *(files[i] for i in order), "--construct")
+    assert code == 2
+    assert rep["checks"] == [{"name": "linked", "passed": True},
+                             {"name": "extraction-reproduces-inputs", "passed": False}]
+    assert rep["module"]["xtype"] == "DDa" and rep["module"]["n"] == 3
+    assert rep["extracted"]["huang_plus"]["a"]["rat"] == "6"
 
 
 def test_link_construct_scans_the_case_rows_once_per_construction(capsys, tmp_path, monkeypatch):

@@ -369,6 +369,24 @@ SPLIT_DIMS = {XType.DS: (2, 1), XType.DDa: (3, 1), XType.DDb: (2, 2),
               XType.SSa: (2, 2), XType.SSb: (2, 2)}
 
 
+@pytest.mark.parametrize("xtype, n, plus, minus", [
+    (XType.DS, 2, [0, 2], [2]),
+    (XType.DS, 6, [0, 2, 4, 6], [2, 4, 6]),
+    (XType.DDa, 3, [0, 2, 3], [2]),
+    (XType.DDa, 7, [0, 2, 4, 6, 7], [2, 4, 6]),
+    (XType.DDb, 3, [0, 2], [1, 3]),
+    (XType.DDb, 7, [0, 2, 4, 6], [1, 3, 5, 7]),
+    (XType.SSa, 3, [0, 2], [1, 3]),
+    (XType.SSa, 7, [0, 2, 4, 6], [1, 3, 5, 7]),
+    (XType.SSb, 3, [0, 2], [0, 2]),
+    (XType.SSb, 7, [0, 2, 4, 6], [0, 2, 4, 6]),
+])
+def test_t0_indices_pinned(xtype, n, plus, minus):
+    from dahalink.daha import _t0_indices
+
+    assert _t0_indices(xtype, n) == (plus, minus)
+
+
 @pytest.mark.parametrize("idx", range(len(INSTANCES)))
 def test_t0_split_dimensions_and_eigenvectors(idx):
     m = build(idx)
@@ -419,6 +437,32 @@ def test_negative_defining_root_extraction():
 def test_extraction_succeeds_on_all_types(idx):
     (pair_p, h_p), (pair_m, h_m) = restricted_leonard_pairs(build(idx))
     assert h_p.d + h_m.d + 2 == INSTANCES[idx][1] + 1
+
+
+@pytest.mark.parametrize("generic", [HD(11, 13, 17, 2), None])
+def test_restricted_pairs_raise_when_the_generic_route_disagrees(monkeypatch, generic):
+    import dahalink.daha as daha
+
+    monkeypatch.setattr(daha, "huang_data_from_array", lambda pa, q: generic)
+    with pytest.raises(VerificationError, match="generic and closed-form Huang data disagree"):
+        restricted_leonard_pairs(build(1))
+
+
+def test_link_construct_raises_when_extraction_does_not_reproduce(monkeypatch):
+    import dahalink.daha as daha
+
+    original = daha.restricted_leonard_pairs
+
+    def doubled_a(m):
+        (pair, h), minus = original(m)
+        return (pair, HuangData(h.a * 2, h.b, h.c, h.d)), minus
+
+    monkeypatch.setattr(daha, "restricted_leonard_pairs", doubled_a)
+    for h, h2 in ((HD(3, 5, 7, 2), HD(3, 5, 7, 0)), (HD(3, 5, 7, 0), HD(3, 5, 7, 2))):
+        lc = daha._construct_from(h, h2, Q2, None, link_check(h, h2, Q2))
+        assert lc.reproduced is False and lc.module.xtype is XType.DDa
+        with pytest.raises(VerificationError, match="does not realize the inputs"):
+            link_construct(h, h2, Q2)
 
 
 # ---------------------------------------------------------------------------
