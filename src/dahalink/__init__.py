@@ -3,7 +3,7 @@ modules and the Leonard pairs they carry.
 
 The package builds finite-dimensional modules on which four generators act
 with prescribed eigenvalue data, splits each module along the first
-generator's eigenspaces, recognizes the resulting Leonard pairs, computes
+generator's eigenspaces, certifies the resulting Leonard pairs, computes
 their q-Racah parametrizations, and decides when two abstractly given
 Leonard pairs arise together on such a module ("linked" pairs).
 

@@ -327,8 +327,7 @@ def run_suite(seed: int, max_n: int) -> list[Check]:
                 sampled += 1
                 try:
                     module = build_module(xtype, n, params.k, q)
-                    k0 = params.k[0]
-                    derived_elements(module, with_projectors=k0 != k0.inv())
+                    derived_elements(module)
                     built += 1
                     ok, _ = module.feasibility
                     if not ok:

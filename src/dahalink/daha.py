@@ -41,7 +41,6 @@ from .exactfield import (
 )
 from .exactlinalg import (
     ExactMatrix,
-    Subspace,
     Vector,
     eigenspace,
     is_lower_bidiagonal,
@@ -65,7 +64,6 @@ from .leonard import (
     common_context,
     huang_data_from_array,
     huang_equivalent,
-    recognize_leonard_pair,
 )
 
 __all__ = [
@@ -645,14 +643,14 @@ class DerivedElements:
     F_minus: Optional[ExactMatrix]
 
 
-def derived_elements(m: HqModule, with_projectors: bool = True) -> DerivedElements:
+def derived_elements(m: HqModule) -> DerivedElements:
     """All derived matrices, with their structural identities verified.
 
     Verified exactly: X G0 = G0 X^{-1} and X G2 = q^{-2} G2 X^{-1}; the
     commutation X t0 - t0 X^{-1} = (k0 + k0^{-1}) X - (k3 + k3^{-1}) I;
     G0^2 = G(X, k0, k3) and G2^2 = G(qX, k1, k2); the three cyclic
-    relations tying A, B, C to t0; and (when requested) that F^+/F^- are
-    complementary idempotents.
+    relations tying A, B, C to t0; and, when k0 != k0^{-1} (otherwise F^+
+    and F^- are None), that F^+/F^- are complementary idempotents.
     """
     ctx = m.ctx
     q = m.params.q
@@ -687,7 +685,7 @@ def derived_elements(m: HqModule, with_projectors: bool = True) -> DerivedElemen
         if lhs != rhs_num.scale(wt):
             raise VerificationError("a cyclic A/B/C relation fails")
     fp = fm = None
-    if with_projectors:
+    if k0 != k0.inv():
         fp, fm = m.F_plus, m.F_minus
         zero = ExactMatrix.zeros(ctx, m.dim)
         if fp * fp != fp or fm * fm != fm or fp * fm != zero or (fp + fm).shift(-1) != zero:
@@ -799,10 +797,11 @@ def u_basis(m: HqModule) -> UBasis:
 
     u_0 spans the first X-eigenspace; u_r = u_{r-1} - beta_{r-1} W u_{r-1}
     with W = Y on single-bond steps and Y^{-1} on double-bond steps; the
-    same recursion one step past the end must give zero.  In this basis Y,
-    Y^{-1}, and A are lower tridiagonal with the predicted Y-diagonal, and
-    X, X^{-1}, and B upper tridiagonal, all from one elimination; so they
-    stay after rescaling by the e_r products.
+    same recursion one step past the end must give zero.  In this basis Y
+    and Y^{-1} are lower tridiagonal with the predicted Y-diagonal, and X
+    and X^{-1} upper tridiagonal, all from one elimination; so they stay
+    after rescaling by the e_r products.  A = Y + Y^{-1} and B = X + X^{-1}
+    (:class:`HqModule`) take these shapes by linearity.
     """
     n = m.params.n
     ctx = m.ctx
@@ -820,10 +819,10 @@ def u_basis(m: HqModule) -> UBasis:
         raise VerificationError("the flattening recursion does not terminate")
     cols = vecs[:n + 1]
     try:
-        reps = restrict_to_basis((m.Y, m.Y_inv, m.A, m.X, m.X_inv, m.B), cols)
+        reps = restrict_to_basis((m.Y, m.Y_inv, m.X, m.X_inv), cols)
     except ValueError:
         raise VerificationError("the flattening vectors are linearly dependent") from None
-    if not all(is_lower_tridiagonal(r) for r in reps[:3]):
+    if not all(is_lower_tridiagonal(r) for r in reps[:2]):
         raise VerificationError("Y, Y^{-1}, A are not lower tridiagonal in the u-basis")
     for r, val in enumerate(_y_diagonal(m)):
         if reps[0].rows[r][r] != val:
@@ -838,7 +837,7 @@ def u_basis(m: HqModule) -> UBasis:
         scaled.append([acc * x for x in cols[r]])
     # the rescaling multiplies entry (i, j) by a nonzero ratio, so the
     # shape on u' is the shape on u
-    if not all(is_upper_tridiagonal(r) for r in reps[3:]):
+    if not all(is_upper_tridiagonal(r) for r in reps[2:]):
         raise VerificationError("X, X^{-1}, B are not upper tridiagonal after rescaling")
     return UBasis(ExactMatrix.from_cols(ctx, cols), tuple(beta), tuple(e),
                   ExactMatrix.from_cols(ctx, scaled))
@@ -871,7 +870,8 @@ def t0_split(m: HqModule) -> tuple[list[Vector], list[Vector]]:
     for name, vs, val in (("plus", plus, k0), ("minus", minus, k0.inv())):
         if any(not any(v) for v in vs):
             raise VerificationError(f"a projected {name}-basis vector vanished")
-        Subspace(m.ctx, n + 1, vs)        # independence
+        if rank(ExactMatrix(m.ctx, vs)) != len(vs):
+            raise ValueError("basis vectors are linearly dependent")
         if any(m.t[0].apply(v) != tuple(val * x for x in v) for v in vs):
             raise VerificationError(f"{name}-basis vector is not a t0-eigenvector")
     return plus, minus
@@ -953,10 +953,13 @@ def _restricted_halves(
     """(pair, closed-form, generic Huang data) on V(k0) and V(k0^{-1}).
 
     Verified exactly: the restricted A is lower and B upper bidiagonal with
-    the predicted diagonals, which recognition returns as standard orderings
-    up to reversal; c + c^{-1} matches its scalar identity when d >= 1.  The
-    generic data (None when not q-Racah) come from the first parameter array
-    under the recognized orderings; the caller compares them."""
+    the predicted diagonals (theta, theta*); c + c^{-1} matches its scalar
+    identity when d >= 1.  The generic data, from the first parameter array
+    under (theta, theta*), are the Leonard certificate: the split sequences
+    prove the split form, ``ParameterArray`` checks PA1-PA2, and q-Racah
+    phi and varphi satisfy PA3-PA5 (Terwilliger, Linear Algebra Appl. 330,
+    2001).  They are None, and the half uncertified, when not q-Racah; the
+    caller compares them."""
     plus_basis, minus_basis = t0_split(m)
     q = m.params.q
     k0, k1, k2, k3 = m.params.k
@@ -974,13 +977,8 @@ def _restricted_halves(
         if [b_res.rows[r][r] for r in range(d + 1)] != theta_star:
             raise VerificationError("restricted B has the wrong diagonal")
         pair = LeonardPair(a_res, b_res)
-        rec = recognize_leonard_pair(a_res, b_res, theta, theta_star)
-        if rec is None:
-            raise VerificationError("restricted pair failed Leonard recognition")
-        if any(list(r) not in (o, o[::-1]) for r, o in zip(rec, (theta, theta_star))):
-            raise VerificationError("restricted diagonals are not standard orderings")
         closed = _closed_form_huang(m, plus)
-        generic = huang_data_from_array(_first_array(pair, *rec), q)
+        generic = huang_data_from_array(_first_array(pair, theta, theta_star), q)
         if d >= 1:
             mix = (q.inv() * k0 + q * k0.inv()) if plus else (q * k0 + q.inv() * k0.inv())
             num = (mix * (k2 + k2.inv())
@@ -1163,8 +1161,9 @@ class LinkConstruction:
 
 def _variants(h: HuangData) -> list[tuple[tuple[int, int, int],
                                           tuple[FieldElement, FieldElement, FieldElement]]]:
-    """All inversion variants of (a, b, c), canonicalized: exponent +1
-    whenever inverting changes nothing (self-inverse value, or c at d=0)."""
+    """All inversion variants of (a, b, c), +1 before -1, canonicalized:
+    exponent +1 whenever inverting changes nothing (self-inverse value, or
+    c at d=0)."""
     out = []
     seen = set()
     c_free = h.d == 0
@@ -1172,9 +1171,8 @@ def _variants(h: HuangData) -> list[tuple[tuple[int, int, int],
         a = h.a if ea == 1 else h.a.inv()
         b = h.b if eb == 1 else h.b.inv()
         c = h.c if ec == 1 else h.c.inv()
-        key = (1 if h.a == a.inv() or ea == 1 else -1,
-               1 if h.b == b.inv() or eb == 1 else -1,
-               1 if c_free or h.c == c.inv() or ec == 1 else -1)
+        key = (1 if a == h.a else -1, 1 if b == h.b else -1,
+               1 if c_free or c == h.c else -1)
         if key in seen:
             continue
         seen.add(key)
@@ -1183,47 +1181,44 @@ def _variants(h: HuangData) -> list[tuple[tuple[int, int, int],
 
 
 def link_check(h: HuangData, h2: HuangData, q: FieldElement) -> list[LinkCase]:
-    """All witnesses that (h, h2) are linked, sorted by case then variant.
+    """One witness for each case row that links (h, h2), in case order.
 
-    Scans the seven case rows over every inversion variant of both data.
-    The c-scalar of a diameter-0 datum is unconstrained ("free"): its
-    ratio condition is dropped and any c-inequality is applied to the
-    value forced by the other side.
+    Scans the case rows whose d' - d matches over every inversion variant
+    of both data, those of h outside, and keeps each row's first match, so
+    a row takes the identity pattern whenever it works.  The c-scalar of a
+    diameter-0 datum is unconstrained ("free"): its ratio condition is
+    dropped and any c-inequality is applied to the value forced by the
+    other side.
     """
     if not (check_huang_admissible(h, q) and check_huang_admissible(h2, q)):
         raise ValueError("link checks need admissible Huang data")
     qq = common_context(q, h.a, h2.a).lift(q)
-    witnesses: list[LinkCase] = []
-    seen = set()
+    rows = [(case, *(int_pow(qq, e) for e in exps))
+            for case, (delta, exps) in _CASE_TABLE.items() if h2.d - h.d == delta]
+    found: dict[str, LinkCase] = {}
     c1_free = h.d == 0
     c2_free = h2.d == 0
+    variants2 = _variants(h2)
     for v1, (a1, b1, c1) in _variants(h):
-        for v2, (a2, b2, c2) in _variants(h2):
-            for case in _CASE_IDS:
-                delta, (ea, eb, ec) = _CASE_TABLE[case]
-                if h2.d - h.d != delta:
-                    continue
-                if a2 != a1 * int_pow(qq, ea) or b2 != b1 * int_pow(qq, eb):
+        # what each row asks of (a', b', c')
+        wants = [(case, a1 * qa, b1 * qb, c1 * qc, qc) for case, qa, qb, qc in rows]
+        for v2, (a2, b2, c2) in variants2:
+            for case, a2_want, b2_want, c2_want, qc in wants:
+                if case in found or a2 != a2_want or b2 != b2_want:
                     continue
                 if not c1_free and not c2_free:
-                    if c2 != c1 * int_pow(qq, ec):
+                    if c2 != c2_want:
                         continue
                     c_for_ineq: Optional[FieldElement] = c1
                 elif c1_free and not c2_free:
-                    c_for_ineq = c2 * int_pow(qq, -ec)
+                    c_for_ineq = c2 * qc.inv()
                 elif not c1_free and c2_free:
                     c_for_ineq = c1
                 else:
                     c_for_ineq = None
-                if not _case_inequalities_ok(case, a1, b1, c_for_ineq, h.d, qq):
-                    continue
-                key = (case, v1, v2)
-                if key not in seen:
-                    seen.add(key)
-                    witnesses.append(LinkCase(case, v1, v2))
-    order = {c: i for i, c in enumerate(_CASE_IDS)}
-    witnesses.sort(key=lambda w: (order[w.case_id], w.variant, w.variant2))
-    return witnesses
+                if _case_inequalities_ok(case, a1, b1, c_for_ineq, h.d, qq):
+                    found[case] = LinkCase(case, v1, v2)
+    return [found[c] for c in _CASE_IDS if c in found]
 
 
 _C_CATALOGUE = (1, 2, 3, 5, 7, 11, 13, 17, 19, 23)

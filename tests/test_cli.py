@@ -444,7 +444,8 @@ def test_extract_dual_route_check_over_an_irrational_spectrum(capsys, tmp_path):
     assert rep["huang_plus"]["a"] == sqrt2("4")
 
 
-def test_extract_recognizes_and_splits_each_half_once(capsys, monkeypatch, flagship_descriptor):
+def test_extract_certifies_each_half_once_without_recognition(capsys, monkeypatch,
+                                                              flagship_descriptor):
     import dahalink.cli as cli
     import dahalink.daha as daha
     import dahalink.leonard as leonard
@@ -464,8 +465,31 @@ def test_extract_recognizes_and_splits_each_half_once(capsys, monkeypatch, flags
     code, rep = run(capsys, "extract", flagship_descriptor)
     assert code == 0
     assert {"name": "huang-dual-route-agreement", "passed": True} in rep["checks"]
-    assert calls == {"recognize_leonard_pair": 2, "split_sequence": 4,
+    # two split sequences and one Huang computation per half are the certificate
+    assert calls == {"recognize_leonard_pair": 0, "split_sequence": 4,
                      "huang_data_from_array": 2}
+
+
+@pytest.mark.parametrize("descriptor", [
+    {"xtype": "DS", "n": 2, "q": 2, "k": [3, 5, 7, "1/840"]},
+    {"xtype": "DDa", "n": 3, "q": 2, "k": ["1/4", 3, 7, 5]},
+    {"xtype": "DDb", "n": 3, "q": 2, "k": ["1/11", 5, "1/13", "-1/4"]},
+    {"xtype": "SSa", "n": 3, "q": 2, "k": [3, "1/4", 5, 11]},
+    {"xtype": "SSb", "n": 3, "q": 2, "k": ["1/13", 3, "1/4", "1/11"]},
+], ids=lambda d: d["xtype"])
+def test_extracted_pair_links_and_constructs_in_both_orders(capsys, tmp_path, descriptor):
+    p = tmp_path / "module.json"
+    p.write_text(json.dumps(descriptor))
+    code, rep = run(capsys, "extract", str(p))
+    assert code == 0
+    files = []
+    for name in ("huang_plus", "huang_minus"):
+        files.append(tmp_path / f"{name}.json")
+        files[-1].write_text(json.dumps(rep[name]))
+    for order in ((0, 1), (1, 0)):
+        code, rep = run(capsys, "link", *(str(files[i]) for i in order), "--construct")
+        assert code == 0, rep
+        assert {"name": "extraction-reproduces-inputs", "passed": True} in rep["checks"]
 
 
 @pytest.mark.parametrize("order", [(0, 1), (1, 0)])      # direct and exchanged

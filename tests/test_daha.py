@@ -226,6 +226,13 @@ def test_derived_element_identities(idx):
     assert der.B * t0 == t0 * der.B
 
 
+def test_derived_elements_skip_projectors_when_k0_is_self_inverse():
+    k = K(1, (1, 2), 3, 5)
+    assert validate_params(XType.SSa, 1, k, Q2) == []
+    der = derived_elements(build_module(XType.SSa, 1, k, Q2))
+    assert der.F_plus is None and der.F_minus is None
+
+
 def test_inverses_are_affine_in_generators():
     m = build(1)
     for i in range(4):
@@ -505,6 +512,12 @@ def test_link_check_flagship_case_i():
     cases = link_check(HD(3, 5, 7, 2), HD(3, 5, 7, 0), Q2)
     assert [c.case_id for c in cases] == ["i"]
     assert cases[0].variant == (1, 1, 1)
+
+
+def test_link_check_scans_inverted_variants():
+    # HD(1/3, 5, 7, 0) is equivalent to HD(3, 5, 7, 0), which case i links
+    cases = link_check(HD(3, 5, 7, 2), HD((1, 3), 5, 7, 0), Q2)
+    assert [(c.case_id, c.variant, c.variant2) for c in cases] == [("i", (1, 1, 1), (-1, 1, 1))]
 
 
 def test_link_check_reversed_gives_exchange_case():

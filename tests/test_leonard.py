@@ -211,6 +211,24 @@ def test_recognize_rejects_non_leonard_pairs():
     assert recognize_leonard_pair(c, c) is None
 
 
+@pytest.mark.parametrize("d, r", [(2, 0), (2, 1), (3, 0), (3, 1), (3, 2)])
+def test_split_form_certificate_rejects_a_corrupted_pair(d, r):
+    # doubling a superdiagonal entry of A* keeps the split form under the
+    # built ladders but breaks the Leonard pair; the two split sequences
+    # under those orderings, the certificate extraction relies on, see it
+    from dahalink.leonard import _first_array
+
+    pair = build_pair_from_huang(hd(3, 5, 7, d), Q2)
+    rows = [list(row) for row in pair.Astar.rows]
+    rows[r][r + 1] = rows[r][r + 1] * 2
+    bad = LeonardPair(pair.A, ExactMatrix(QQ, rows))
+    theta = ladder(QQ.rational(3), d, Q2)
+    theta_star = ladder(QQ.rational(5), d, Q2)
+    assert recognize_leonard_pair(bad.A, bad.Astar, theta, theta_star) is None
+    with pytest.raises(VerificationError):
+        _first_array(bad, theta, theta_star)
+
+
 def test_recognition_eliminates_once_per_eigenvalue(monkeypatch):
     import dahalink.leonard as leonard
 

@@ -1,7 +1,8 @@
 """Exact linear algebra against sympy's ``DomainMatrix`` as an oracle.
 
-``ExactMatrix.shift``, ``rank``, the dimension of ``eigenspace``,
-``char_poly``, ``ExactMatrix.inverse`` and the product ``A * B`` are
+``ExactMatrix.shift``, ``rank``, ``eigenspace`` (an exact eigenvector
+basis of sympy's nullspace dimension), ``char_poly``,
+``ExactMatrix.inverse`` and the product ``A * B`` are
 compared with sympy over Q, Q(sqrt 2) and Q(sqrt 5) on small matrices drawn
 by hypothesis.  A drawn square matrix is ``U V + lam I`` with ``U`` n x k
 and ``V`` k x n, so for k < n it has the eigenvalue ``lam`` with an
@@ -136,7 +137,11 @@ def test_rank_and_eigenspace_dimension_match_oracle(ctx, data):
     dm = _oracle_matrix(m)
     assert rank(m) == dm.rank()
     for c in (lam, mu):
-        assert eigenspace(m, c).dim == _oracle_shift(dm, -c).nullspace().shape[0]
+        basis = eigenspace(m, c).basis
+        dim = _oracle_shift(dm, -c).nullspace().shape[0]
+        assert all(m.apply(v) == tuple(c * x for x in v) for v in basis)
+        stacked = [[_to_oracle(dm.domain, x) for x in v] for v in basis]
+        assert len(basis) == dim == DomainMatrix(stacked, (dim, m.ncols), dm.domain).rank()
 
 
 @FIELDS
