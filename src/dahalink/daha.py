@@ -599,30 +599,34 @@ def build_module(xtype: XType, n: int, k: Sequence[FieldElement],
 
 def verify_hq_relations(m: HqModule) -> Report:
     """Check every defining relation of H_q as an exact matrix identity."""
-    zero = ExactMatrix.zeros(m.ctx, m.dim)
     checks: list[Check] = []
 
-    def record(name: str, res: ExactMatrix) -> None:
-        """A check that the residual ``res`` (actual - expected) vanishes."""
-        checks.append(Check(name, True) if res == zero else Check(name, False, res))
+    def record(name: str, actual: ExactMatrix, expected) -> None:
+        """A check that ``actual`` equals ``expected``: a matrix, or a scalar
+        c standing for cI.  Only a failing check builds its residual
+        ``actual - expected``."""
+        if not isinstance(expected, ExactMatrix):
+            ok, residual = actual.is_scalar(expected), lambda: actual.shift(-expected)
+        else:
+            ok, residual = actual == expected, lambda: actual - expected
+        checks.append(Check(name, True) if ok else Check(name, False, residual()))
 
     for i in range(4):
-        record(f"t{i}-inverse-right", (m.t[i] * m.t_inv[i]).shift(-1))
-        record(f"t{i}-inverse-left", (m.t_inv[i] * m.t[i]).shift(-1))
+        record(f"t{i}-inverse-right", m.t[i] * m.t_inv[i], 1)
+        record(f"t{i}-inverse-left", m.t_inv[i] * m.t[i], 1)
         ki = m.params.k[i]
-        record(f"t{i}-quadratic", m.t[i].shift(-ki) * m.t[i].shift(-ki.inv()))
+        record(f"t{i}-quadratic", m.t[i].shift(-ki) * m.t[i].shift(-ki.inv()), 0)
     for i in range(4):
         central = m.t[i] + m.t_inv[i]
         for j in range(4):
-            record(f"central-t{i}-with-t{j}", central * m.t[j] - m.t[j] * central)
-    minus_qinv = -m.params.q.inv()
-    prod = m.t[0] * m.t[1] * m.t[2] * m.t[3]
-    record("product-t0t1t2t3", prod.shift(minus_qinv))
+            record(f"central-t{i}-with-t{j}", central * m.t[j], m.t[j] * central)
+    qinv = m.params.q.inv()
+    record("product-t0t1t2t3", m.t[0] * m.t[1] * m.t[2] * m.t[3], qinv)
     for start, name in ((1, "t1t2t3t0"), (2, "t2t3t0t1"), (3, "t3t0t1t2")):
         rot = m.t[start]
         for off in range(1, 4):
             rot = rot * m.t[(start + off) % 4]
-        record(f"product-{name}", rot.shift(minus_qinv))
+        record(f"product-{name}", rot, qinv)
     return Report(tuple(checks))
 
 
@@ -652,7 +656,6 @@ def derived_elements(m: HqModule) -> DerivedElements:
     relations tying A, B, C to t0; and, when k0 != k0^{-1} (otherwise F^+
     and F^- are None), that F^+/F^- are complementary idempotents.
     """
-    ctx = m.ctx
     q = m.params.q
     k0, k1, k2, k3 = m.params.k
     X, Xi, Y = m.X, m.X_inv, m.Y
@@ -687,8 +690,8 @@ def derived_elements(m: HqModule) -> DerivedElements:
     fp = fm = None
     if k0 != k0.inv():
         fp, fm = m.F_plus, m.F_minus
-        zero = ExactMatrix.zeros(ctx, m.dim)
-        if fp * fp != fp or fm * fm != fm or fp * fm != zero or (fp + fm).shift(-1) != zero:
+        if (fp * fp != fp or fm * fm != fm or not (fp * fm).is_scalar(0)
+                or not (fp + fm).is_scalar(1)):
             raise VerificationError("t0-eigenprojections are not complementary idempotents")
     return DerivedElements(X, Y, A, B, C, m.G, fp, fm)
 

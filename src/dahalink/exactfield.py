@@ -368,20 +368,21 @@ class FieldElement:
     # -- predicates & canonical forms ---------------------------------------
 
     def __bool__(self) -> bool:
-        return self.rat != 0 or self.irr != 0
+        return bool(self.rat or self.irr)
 
     def __eq__(self, other: object) -> bool:
+        if type(other) is FieldElement:
+            # Equal parts (a tuple comparison skips identical Fractions) in
+            # one field, unless both elements are rational.
+            return (self.rat, self.irr) == (other.rat, other.irr) and (
+                not self.irr or self.ctx is other.ctx or self.ctx == other.ctx)
         if isinstance(other, (int, Fraction)):
-            return self.irr == 0 and self.rat == other
-        if not isinstance(other, FieldElement):
-            return NotImplemented
-        if self.irr == 0 and other.irr == 0:
-            return self.rat == other.rat
-        return self.ctx == other.ctx and self.rat == other.rat and self.irr == other.irr
+            return not self.irr and self.rat == other
+        return NotImplemented
 
     def __hash__(self) -> int:
-        disc = 1 if self.irr == 0 else self.ctx.disc
-        return hash((self.rat, self.irr, disc))
+        # Equal numbers hash alike: a rational element hashes as its Fraction.
+        return hash((self.rat, self.irr, self.ctx.disc)) if self.irr else hash(self.rat)
 
     def __repr__(self) -> str:
         if self.irr == 0:

@@ -237,8 +237,18 @@ class ExactMatrix:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ExactMatrix):
             return NotImplemented
-        return self.shape == other.shape and all(
-            a == b for r1, r2 in zip(self.rows, other.rows) for a, b in zip(r1, r2))
+        # Tuple comparison skips identical entries and compares the others
+        # by FieldElement.__eq__, on their Fraction parts.
+        return self is other or (self.shape == other.shape and self.rows == other.rows)
+
+    def is_scalar(self, c) -> bool:
+        """Whether ``M == cI``, decided on the Fraction parts of the entries
+        without forming ``cI`` or ``M - cI``."""
+        c = self.ctx.lift(c)
+        cr, ci = c.rat, c.irr
+        return self.is_square and all(
+            (x.rat, x.irr) == (cr, ci) if i == j else not (x.rat or x.irr)
+            for i, row in enumerate(self.rows) for j, x in enumerate(row))
 
     def __hash__(self) -> int:
         return hash((self.shape, self.rows))

@@ -757,9 +757,8 @@ def askey_wilson_third(P: LeonardPair, h: HuangData, q: FieldElement) -> ExactMa
     gamma_b = _aw_scalar(b, c, a, h.d, qq)
     gamma_c = _aw_scalar(c, a, b, h.d, qq)
     Ae = comm(A, S).scale(-denom_inv).shift(gamma_c)
-    zero = ExactMatrix.zeros(ctx, A.nrows)
-    if (A + comm(S, Ae).scale(denom_inv)).shift(-gamma_a) != zero:
+    if not (A + comm(S, Ae).scale(denom_inv)).is_scalar(gamma_a):
         raise VerificationError("first Askey-Wilson relation fails")
-    if (S + comm(Ae, A).scale(denom_inv)).shift(-gamma_b) != zero:
+    if not (S + comm(Ae, A).scale(denom_inv)).is_scalar(gamma_b):
         raise VerificationError("second Askey-Wilson relation fails")
     return Ae

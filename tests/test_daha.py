@@ -205,6 +205,32 @@ def test_verify_records_residuals_of_failing_checks_only():
     zero = ExactMatrix.zeros(m.ctx, m.dim)
     assert all(c.residual is not None and c.residual != zero for c in failed)
     assert all(c.residual is None for c in bad_report.checks if c.passed)
+    # each residual is actual - expected, recomputed on plain Fraction lists
+    t = [[[x.rat for x in row] for row in gen.rows] for gen in bad.t]
+    dim = m.dim
+
+    def mul(*mats):
+        out = mats[0]
+        for b in mats[1:]:
+            out = [[sum(row[s] * b[s][j] for s in range(dim)) for j in range(dim)] for row in out]
+        return out
+
+    def shift(a, c):
+        return [[x + c if i == j else x for j, x in enumerate(row)] for i, row in enumerate(a)]
+
+    k2, q = m.params.k[2].rat, m.params.q.rat
+    t2_inv = shift([[-x for x in row] for row in t[2]], k2 + 1 / k2)
+    expected = {
+        "t2-inverse-right": shift(mul(t[2], t2_inv), -1),
+        "t2-inverse-left": shift(mul(t2_inv, t[2]), -1),
+        "t2-quadratic": mul(shift(t[2], -k2), shift(t[2], -1 / k2)),
+    }
+    for start, name in ((0, "t0t1t2t3"), (1, "t1t2t3t0"), (2, "t2t3t0t1"), (3, "t3t0t1t2")):
+        rot = mul(*(t[(start + off) % 4] for off in range(4)))
+        expected[f"product-{name}"] = shift(rot, -1 / q)
+    assert sorted(c.name for c in failed) == sorted(expected)
+    for c in failed:
+        assert [[x.rat for x in row] for row in c.residual.rows] == expected[c.name], c.name
 
 
 @pytest.mark.parametrize("idx", range(len(INSTANCES)))

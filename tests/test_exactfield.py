@@ -176,6 +176,22 @@ def test_cross_context_rationals_combine():
     assert hash(a) == hash(QQ.rational(2))
 
 
+def test_hash_agrees_with_equality_across_numbers_and_fields():
+    r2, r3 = FieldContext(2), FieldContext(3)
+    threes = [3, Fraction(3), QQ.rational(3), r2.rational(3), r3.element(3, 0)]
+    assert len(set(threes)) == 1
+    assert all(x in {QQ.rational(3)} and QQ.rational(3) in {x} for x in threes)
+    table = {Fraction(1, 2): "half", r2.element(1, 1): "1 + sqrt 2"}
+    assert table[QQ.rational(1, 2)] == table[r3.rational(1, 2)] == "half"
+    assert table[FieldContext(2).element(1, 1)] == "1 + sqrt 2"
+    assert r3.element(1, 1) not in table and 1 not in table
+    # equal parts over two extensions are two different numbers
+    assert r2.element(1, 1) != r3.element(1, 1) and r2.element(0, 1) != r3.element(0, 1)
+    assert len({r2.element(0, 1), r3.element(0, 1), r2.element(0, 1)}) == 2
+    # a pure irrational element is nonzero
+    assert r2.element(0, 1) and r2.element(0, -1) and not r2.zero()
+
+
 def test_cross_context_irrationals_refuse():
     a = FieldContext(5).element(0, 1)
     b = FieldContext(7).element(0, 1)

@@ -2,7 +2,8 @@
 
 ``ExactMatrix.shift``, ``rank``, ``eigenspace`` (an exact eigenvector
 basis of sympy's nullspace dimension), ``char_poly``,
-``ExactMatrix.inverse`` and the product ``A * B`` are
+``ExactMatrix.inverse``, the product ``A * B``, and the comparison
+kernel (``==`` and ``ExactMatrix.is_scalar``) are
 compared with sympy over Q, Q(sqrt 2) and Q(sqrt 5) on small matrices drawn
 by hypothesis.  A drawn square matrix is ``U V + lam I`` with ``U`` n x k
 and ``V`` k x n, so for k < n it has the eigenvalue ``lam`` with an
@@ -175,3 +176,49 @@ def test_product_matches_oracle(ctx, data):
     prod = a * b
     assert _pairs(prod) == _oracle_pairs(_oracle_matrix(a) * _oracle_matrix(b))
     assert not cancelled or not prod[0, 0]
+
+
+def _oracle_equal(dm, dm2):
+    """Equality by the oracle: sympy's own ``==`` also compares storage formats."""
+    return dm.shape == dm2.shape and (dm - dm2).is_zero_matrix
+
+
+@FIELDS
+@ORACLE
+@given(data=st.data())
+def test_equality_and_scalar_test_match_oracle(ctx, data):
+    m, lam, mu = data.draw(_cases(ctx))
+    other, _, _ = data.draw(_cases(ctx))
+    dm = _oracle_matrix(m)
+    n = m.nrows
+    for c in (lam, mu, ctx.zero()):
+        scalar = _oracle_shift(DomainMatrix.zeros((n, n), dm.domain), c)
+        assert m.is_scalar(c) == _oracle_equal(dm, scalar)
+        assert (m == ExactMatrix.identity(ctx, n).scale(c)) == _oracle_equal(dm, scalar)
+    assert (m == other) == _oracle_equal(dm, _oracle_matrix(other))
+    assert m == m.shift(ctx.zero()) == ExactMatrix(ctx, [list(row) for row in m.rows])
+
+
+@FIELDS
+@ORACLE
+@given(data=st.data())
+def test_scalar_test_fails_on_each_single_entry_mutant(ctx, data):
+    n = data.draw(st.integers(2, 5))
+    c = data.draw(_elements(ctx))
+    i = data.draw(st.integers(0, n - 1))
+    j = (i + data.draw(st.integers(1, n - 1))) % n
+    nonzero = _small.filter(bool)
+    delta = ctx.from_fraction(data.draw(nonzero))
+    mutants = [(i, j, delta), (i, i, delta)]
+    if ctx.disc != 1:
+        # the diagonal entry keeps its rational part and changes its irrational one
+        mutants.append((i, i, ctx.element(0, data.draw(nonzero))))
+    assert ExactMatrix.identity(ctx, n).scale(c).is_scalar(c)
+    for r, s, d in mutants:
+        rows = [[c if a == b else ctx.zero() for b in range(n)] for a in range(n)]
+        rows[r][s] = rows[r][s] + d
+        mutant = ExactMatrix(ctx, rows)
+        assert not mutant.is_scalar(c)
+        assert mutant != ExactMatrix.identity(ctx, n).scale(c)
+        assert not _oracle_equal(_oracle_matrix(mutant), _oracle_shift(
+            DomainMatrix.zeros((n, n), _domain(ctx)), c))
