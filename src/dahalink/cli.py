@@ -361,6 +361,7 @@ def run_suite(seed: int, max_n: int) -> list[Check]:
         f"twist-coverage ({len(twisted)}/{len(feasible_types)})",
         twisted == feasible_types))
     # Huang round trips through the Leonard-pair layer
+    # (re-checks build_pair_from_huang on purpose: the CLI's only generic recognition)
     round_trips = 0
     rt_fail: list[str] = []
     pool = [3, 5, 7, 11, 13]

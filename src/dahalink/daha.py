@@ -1098,38 +1098,36 @@ def twist(m: HqModule, which: str) -> HqModule:
 # ---------------------------------------------------------------------------
 
 
-_CASE_IDS = ("i", "ii", "iii", "iv", "v", "vi", "vii")
+class _CaseRow(NamedTuple):
+    """One case row of the linked relation (arXiv 1701.06089): d' - d, the
+    q-exponents of a'/a, b'/b and c'/c, and the forbidden squares.  A
+    forbidden square (s, m, e) asks the first datum's scalar s to satisfy
+    s^2 != q^{m d + e}."""
 
-# case id -> (d' - d, (exponent of q in a'/a, b'/b, c'/c))
-_CASE_TABLE: dict[str, tuple[int, tuple[int, int, int]]] = {
-    "i": (-2, (0, 0, 0)),
-    "ii": (-1, (1, 1, 1)),
-    "iii": (0, (2, 0, 0)),
-    "iv": (0, (0, 2, 0)),
-    "v": (0, (0, 0, 2)),
-    "vi": (1, (-1, -1, -1)),
-    "vii": (2, (0, 0, 0)),
+    delta: int
+    exps: tuple[int, int, int]
+    forbidden: tuple[tuple[str, int, int], ...]
+
+
+_CASE_TABLE: dict[str, _CaseRow] = {
+    "i": _CaseRow(-2, (0, 0, 0), ()),
+    "ii": _CaseRow(-1, (1, 1, 1), (("a", -2, 0), ("b", -2, 0))),
+    "iii": _CaseRow(0, (2, 0, 0), (("b", 2, 0), ("b", -2, 0), ("a", 0, -2))),
+    "iv": _CaseRow(0, (0, 2, 0), (("a", 2, 0), ("a", -2, 0), ("b", 0, -2))),
+    "v": _CaseRow(0, (0, 0, 2), (("a", 2, 0), ("a", -2, 0), ("b", 2, 0),
+                                 ("b", -2, 0), ("c", 0, -2))),
+    "vi": _CaseRow(1, (-1, -1, -1), (("a", -2, 0), ("b", -2, 0))),
+    "vii": _CaseRow(2, (0, 0, 0), ()),
 }
 
 
-def _case_inequalities_ok(case: str, a: FieldElement, b: FieldElement,
-                          c: Optional[FieldElement], d: int,
-                          q: FieldElement) -> bool:
-    qe = lambda e: int_pow(q, e)
-    a2, b2 = a * a, b * b
-    if case in ("ii", "vi"):
-        return a2 != qe(-2 * d) and b2 != qe(-2 * d)
-    if case == "iii":
-        return b2 != qe(2 * d) and b2 != qe(-2 * d) and a2 != qe(-2)
-    if case == "iv":
-        return a2 != qe(2 * d) and a2 != qe(-2 * d) and b2 != qe(-2)
-    if case == "v":
-        ab_ok = (a2 != qe(2 * d) and a2 != qe(-2 * d)
-                 and b2 != qe(2 * d) and b2 != qe(-2 * d))
-        if not ab_ok:
-            return False
-        return c is None or c * c != qe(-2)
-    return True
+def _case_inequalities_ok(row: _CaseRow, abc: Sequence[Optional[FieldElement]],
+                          d: int, q: FieldElement) -> bool:
+    """Whether the first datum's (a, b, c) avoids the row's forbidden
+    squares; an unknown c (None) is unconstrained."""
+    vals = dict(zip("abc", abc))
+    return all(vals[s] is None or vals[s] * vals[s] != int_pow(q, m * d + e)
+               for s, m, e in row.forbidden)
 
 
 @dataclass(frozen=True)
@@ -1164,23 +1162,14 @@ class LinkConstruction:
 
 def _variants(h: HuangData) -> list[tuple[tuple[int, int, int],
                                           tuple[FieldElement, FieldElement, FieldElement]]]:
-    """All inversion variants of (a, b, c), +1 before -1, canonicalized:
-    exponent +1 whenever inverting changes nothing (self-inverse value, or
-    c at d=0)."""
-    out = []
-    seen = set()
-    c_free = h.d == 0
-    for ea, eb, ec in itertools.product((1, -1), repeat=3):
-        a = h.a if ea == 1 else h.a.inv()
-        b = h.b if eb == 1 else h.b.inv()
-        c = h.c if ec == 1 else h.c.inv()
-        key = (1 if a == h.a else -1, 1 if b == h.b else -1,
-               1 if c_free or c == h.c else -1)
-        if key in seen:
-            continue
-        seen.add(key)
-        out.append((key, (a, b, c)))
-    return out
+    """The distinct inversion variants of (a, b, c), as (pattern, values):
+    the product of each scalar's distinct inversions, +1 before -1.  A
+    self-inverse scalar, and c at d = 0, keep +1 only."""
+    choices = [[(1, x)] + ([(-1, x.inv())] if x != x.inv() else [])
+               for x in (h.a, h.b, h.c)]
+    if h.d == 0:
+        choices[2] = choices[2][:1]
+    return [tuple(zip(*combo)) for combo in itertools.product(*choices)]
 
 
 def link_check(h: HuangData, h2: HuangData, q: FieldElement) -> list[LinkCase]:
@@ -1188,40 +1177,32 @@ def link_check(h: HuangData, h2: HuangData, q: FieldElement) -> list[LinkCase]:
 
     Scans the case rows whose d' - d matches over every inversion variant
     of both data, those of h outside, and keeps each row's first match, so
-    a row takes the identity pattern whenever it works.  The c-scalar of a
-    diameter-0 datum is unconstrained ("free"): its ratio condition is
-    dropped and any c-inequality is applied to the value forced by the
-    other side.
+    a row takes the identity pattern whenever it works.  The c ratio is
+    required only when both diameters are >= 1.  The forbidden squares test
+    h's own c; at h.d = 0 they test the c that h2 forces, and when both
+    diameters are 0 there is none.
     """
     if not (check_huang_admissible(h, q) and check_huang_admissible(h2, q)):
         raise ValueError("link checks need admissible Huang data")
     qq = common_context(q, h.a, h2.a).lift(q)
-    rows = [(case, *(int_pow(qq, e) for e in exps))
-            for case, (delta, exps) in _CASE_TABLE.items() if h2.d - h.d == delta]
+    rows = [(case, row, *(int_pow(qq, e) for e in row.exps))
+            for case, row in _CASE_TABLE.items() if h2.d - h.d == row.delta]
     found: dict[str, LinkCase] = {}
-    c1_free = h.d == 0
-    c2_free = h2.d == 0
     variants2 = _variants(h2)
     for v1, (a1, b1, c1) in _variants(h):
         # what each row asks of (a', b', c')
-        wants = [(case, a1 * qa, b1 * qb, c1 * qc, qc) for case, qa, qb, qc in rows]
+        wants = [(case, row, a1 * qa, b1 * qb, c1 * qc, qc)
+                 for case, row, qa, qb, qc in rows]
         for v2, (a2, b2, c2) in variants2:
-            for case, a2_want, b2_want, c2_want, qc in wants:
+            for case, row, a2_want, b2_want, c2_want, qc in wants:
                 if case in found or a2 != a2_want or b2 != b2_want:
                     continue
-                if not c1_free and not c2_free:
-                    if c2 != c2_want:
-                        continue
-                    c_for_ineq: Optional[FieldElement] = c1
-                elif c1_free and not c2_free:
-                    c_for_ineq = c2 * qc.inv()
-                elif not c1_free and c2_free:
-                    c_for_ineq = c1
-                else:
-                    c_for_ineq = None
-                if _case_inequalities_ok(case, a1, b1, c_for_ineq, h.d, qq):
+                if h.d and h2.d and c2 != c2_want:
+                    continue
+                c = c1 if h.d else (c2 * qc.inv() if h2.d else None)
+                if _case_inequalities_ok(row, (a1, b1, c), h.d, qq):
                     found[case] = LinkCase(case, v1, v2)
-    return [found[c] for c in _CASE_IDS if c in found]
+    return [found[c] for c in _CASE_TABLE if c in found]
 
 
 _C_CATALOGUE = (1, 2, 3, 5, 7, 11, 13, 17, 19, 23)
@@ -1256,39 +1237,26 @@ def _construct_from(h: HuangData, h2: HuangData, q: FieldElement, sign: Optional
     if not witnesses:
         raise LinkError("the Huang data are not linked")
     chosen = witnesses[0]
-    if chosen.case_id in ("vi", "vii"):
+    row = _CASE_TABLE[chosen.case_id]
+    if row.delta > 0:
         # exchanging negates d' - d: vi (+1) and vii (+2) reappear as ii and i
         try:
             inner = _construct_from(h2, h, q, sign, link_check(h2, h, q))
         except LinkError:
             raise VerificationError("exchange symmetry failed to produce a witness") from None
         return replace(inner, case=chosen, exchanged=True)
-    case = chosen.case_id
-    side1 = dict(zip("abc", _apply_variant(h, chosen.variant)))
-    side2 = dict(zip("abc", _apply_variant(h2, chosen.variant2)))
-    d = h.d
-    ctx = common_context(q, side1["a"], side1["b"], side1["c"],
-                         side2["a"], side2["b"], side2["c"])
+    side1 = _apply_variant(h, chosen.variant)
+    side2 = _apply_variant(h2, chosen.variant2)
+    ctx = common_context(q, *side1, *side2)
     qq = ctx.lift(q)
-    qe = lambda e: int_pow(qq, e)
-    A = ctx.lift(side1["a"])
-    B = ctx.lift(side1["b"])
+    A, B = ctx.lift(side1[0]), ctx.lift(side1[1])
     if h.d >= 1:
-        C = ctx.lift(side1["c"])
+        C = ctx.lift(side1[2])
     elif h2.d >= 1:
-        _, _, ec = _CASE_TABLE[case][1]
-        C = ctx.lift(side2["c"]) * qe(-ec)
+        C = ctx.lift(side2[2]) * int_pow(qq, -row.exps[2])
     else:
-        C = _free_c_choice(case, d, A, B, qq)
-    if case == "ii":
-        xtype, n = XType.DS, 2 * d
-        k0 = _ds_root(A * B * C * qe(1 - d), sign)
-        kctx = k0.ctx
-        A, B, C, qq = (kctx.lift(x) for x in (A, B, C, qq))
-        scale = int_pow(qq, -d) * k0.inv()
-        k = (k0, A * scale, C * scale, B * scale)
-    else:
-        xtype, n, k = _case_params(case, d, (A, B, C), qq)
+        C = _free_c_choice(chosen.case_id, h.d, A, B, qq)
+    xtype, n, k, qq = _case_params(chosen.case_id, h.d, (A, B, C), qq, sign)
     bad = validate_params(xtype, n, k, qq)
     if bad:
         raise VerificationError(
@@ -1305,34 +1273,44 @@ def _construct_from(h: HuangData, h2: HuangData, q: FieldElement, sign: Optional
 
 def _apply_variant(h: HuangData,
                    variant: tuple[int, int, int]) -> tuple[FieldElement, ...]:
-    vals = (h.a, h.b, h.c)
-    return tuple(v if e == 1 else v.inv() for v, e in zip(vals, variant))
+    return tuple(v if e == 1 else v.inv() for v, e in zip((h.a, h.b, h.c), variant))
 
 
-def _case_params(case: str, d: int, abc: Sequence[FieldElement],
-                 q: FieldElement) -> tuple[XType, int, tuple[FieldElement, ...]]:
-    """(xtype, n, k) of the module realizing case row i, iii, iv or v for
-    Huang scalars (a, b, c) of diameter d on V(k0): the type whose row
-    names the case; k_solo = q^{-(n+1)/2}, and the ``abc`` slots carry
-    a, b, c (k0 times q)."""
+def _case_params(case: str, d: int, abc: Sequence[FieldElement], q: FieldElement,
+                 sign: Optional[str] = None,
+                 ) -> tuple[XType, int, tuple[FieldElement, ...], FieldElement]:
+    """(xtype, n, k, q) of the module realizing case row i, ii, iii, iv or v
+    for Huang scalars (a, b, c) of diameter d on V(k0): the type whose row
+    names the case, with its ``abc`` slots carrying a, b, c.  For DS, k0 is
+    the square root :func:`_ds_root` of a b c q^{1-d}, which may extend the
+    field (q comes back lifted into it), and a, b, c are divided by
+    k0 q^d.  Otherwise k_solo = q^{-(n+1)/2}, and a slot k0 carries its
+    scalar times q."""
     xtype = _CASE_XTYPE[case]
-    n = 2 * d - 1 if xtype is XType.DDa else 2 * d + 1
-    k = [int_pow(q, -((n + 1) // 2))] * 4
+    if xtype is XType.DS:
+        n = 2 * d
+        k0 = _ds_root(abc[0] * abc[1] * abc[2] * int_pow(q, 1 - d), sign)
+        q = k0.ctx.lift(q)
+        scale = int_pow(q, -d) * k0.inv()
+        k = [k0] * 4
+    else:
+        n = 2 * d - 1 if xtype is XType.DDa else 2 * d + 1
+        scale = q.ctx.one()
+        k = [int_pow(q, -((n + 1) // 2))] * 4
     for i, v in zip(xtype.row.abc, abc):
-        k[i] = v * q if i == 0 else v
-    return xtype, n, tuple(k)
+        k[i] = q.ctx.lift(v) * (q if i == 0 else scale)
+    return xtype, n, tuple(k), q
 
 
 def _free_c_choice(case: str, d: int, a: FieldElement, b: FieldElement,
                    q: FieldElement) -> FieldElement:
     """A concrete c for the d = d' = 0 constructions, where c is
-    unconstrained: the first catalogue value yielding valid parameters."""
-    ctx = a.ctx
+    unconstrained: the first catalogue value that avoids the row's
+    forbidden squares and yields valid parameters."""
     for cand in _C_CATALOGUE:
-        C = ctx.rational(cand)
-        if case == "v" and C * C == int_pow(q, -2):
-            continue
-        if not validate_params(*_case_params(case, d, (a, b, C), q), q):
+        C = a.ctx.rational(cand)
+        if (_case_inequalities_ok(_CASE_TABLE[case], (a, b, C), d, q)
+                and not validate_params(*_case_params(case, d, (a, b, C), q))):
             return C
     raise VerificationError("no catalogue value for the free c-scalar fits")
 
@@ -1358,11 +1336,10 @@ def _ds_root(radicand: FieldElement, sign: Optional[str]) -> FieldElement:
 _K_POOL = (3, 5, 7, 11, 13)
 
 
-def sample_params(rng, xtype: XType, n: int, q: FieldElement,
-                  max_tries: int = 200) -> Optional[HqParams]:
+def sample_params(rng, xtype: XType, n: int, q: FieldElement) -> Optional[HqParams]:
     """A random valid parameter sequence for the given type and size, or
-    None.  Draws from small odd primes, their inverses, and negations,
-    solving the type's defining equation for the remaining slot."""
+    None after 200 draws.  Draws from small odd primes, their inverses, and
+    negations, solving the type's defining equation for the remaining slot."""
     xtype = XType(xtype)
     if (n % 2 == 0) != xtype.even_n or n < 0:
         return None
@@ -1374,7 +1351,7 @@ def sample_params(rng, xtype: XType, n: int, q: FieldElement,
     def draw() -> FieldElement:
         return pool[rng.randrange(len(pool))]
 
-    for _ in range(max_tries):
+    for _ in range(200):
         sgn = 1 if rng.random() < 0.5 else -1
         if xtype is XType.DS:
             k0, k1, k2 = draw(), draw(), draw()

@@ -449,14 +449,15 @@ def recognize_leonard_pair(
 # ---------------------------------------------------------------------------
 
 
-def _proportionality(w: Vector, v: Vector) -> FieldElement:
-    """The scalar f with w = f v (v nonzero); VerificationError otherwise."""
+def _proportionality(w: Vector, v: Vector,
+                     error: type[Exception] = VerificationError) -> FieldElement:
+    """The scalar f with w = f v (v nonzero); ``error`` otherwise."""
     pivot = next((i for i, x in enumerate(v) if x), None)
     if pivot is None:
-        raise VerificationError("proportionality against the zero vector")
+        raise error("proportionality against the zero vector")
     f = w[pivot] * v[pivot].inv()
     if any(w[i] != f * v[i] for i in range(len(v))):
-        raise VerificationError("vectors are not proportional")
+        raise error("vectors are not proportional")
     return f
 
 
@@ -499,7 +500,7 @@ def split_sequence(
     phi: list[FieldElement] = []
     for r in range(1, n):
         w = step(S, theta_star_order[r], vecs[r])
-        f = _proportionality(w, vecs[r - 1])
+        f = _proportionality(w, vecs[r - 1], NotStandardOrderingError)
         if not f:
             raise NotStandardOrderingError(f"phi_{r} vanishes")
         phi.append(f)

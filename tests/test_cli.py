@@ -150,6 +150,46 @@ def test_link_construct_flag(capsys, tmp_path):
                for c in rep["checks"])
 
 
+def _k_text(x):
+    """A k entry of a report as text: "p/q", or "r*sqrt(D)" when purely irrational."""
+    if x["irr"] == "0":
+        return x["rat"]
+    assert x["rat"] == "0"
+    return f'{x["irr"]}*sqrt({x["disc"]})'
+
+
+_DS_K = ["-1/2*sqrt(210)", "-1/140*sqrt(210)", "-1/60*sqrt(210)", "-1/84*sqrt(210)"]
+
+
+# the decisions the case table makes: the witnessing row with its inversion
+# patterns, and the module that realizes it
+@pytest.mark.parametrize("h1, h2, q, case, variant2, xtype, n, k", [
+    # one partner pair per case row; vi and vii are ii and i reversed
+    ((3, 5, 7, 2), (3, 5, 7, 0), 2, "i", [1, 1, 1], "DDa", 3, ["1/4", "3", "7", "5"]),
+    ((3, 5, 7, 2), (6, 10, 14, 1), 2, "ii", [1, 1, 1], "DS", 4, _DS_K),
+    ((3, 5, 7, 1), (12, 5, 7, 1), 2, "iii", [1, 1, 1], "SSa", 3, ["6", "1/4", "5", "7"]),
+    ((3, 5, 7, 1), (3, 20, 7, 1), 2, "iv", [1, 1, 1], "DDb", 3, ["10", "7", "3", "1/4"]),
+    ((3, 5, 7, 1), (3, 5, 28, 1), 2, "v", [1, 1, 1], "SSb", 3, ["14", "5", "1/4", "3"]),
+    ((6, 10, 14, 1), (3, 5, 7, 2), 2, "vi", [1, 1, 1], "DS", 4, _DS_K),
+    ((3, 5, 7, 0), (3, 5, 7, 2), 2, "vii", [1, 1, 1], "DDa", 3, ["1/4", "3", "7", "5"]),
+    # the partner's a and c inverted
+    ((3, 5, 7, 1), ("1/12", 5, "1/7", 1), 2, "iii", [-1, 1, -1], "SSa", 3,
+     ["6", "1/4", "5", "7"]),
+    # d = d' = 0: c = 3 from the catalogue, as 1 is invalid and 2 has c^2 = q^{-2}
+    ((2, 4, 7, 0), (2, 4, 9, 0), "1/2", "v", [1, 1, 1], "SSb", 1, ["3/2", "4", "2", "2"]),
+])
+def test_link_construct_pins_each_case_row(capsys, tmp_path, h1, h2, q, case, variant2,
+                                           xtype, n, k):
+    files = [write_huang(tmp_path, "h1.json", *h1, q=q),
+             write_huang(tmp_path, "h2.json", *h2, q=q)]
+    code, rep = run(capsys, "link", *files, "--construct")
+    assert code == 0
+    assert rep["case_used"] == {"case": case, "variant": [1, 1, 1], "variant2": variant2}
+    assert rep["exchanged"] is (case in ("vi", "vii"))
+    assert rep["module"]["xtype"] == xtype and rep["module"]["n"] == n
+    assert [_k_text(x) for x in rep["module"]["k"]] == k
+
+
 def _in_q210(rat):
     return {"rat": rat, "irr": "0", "disc": 210}
 

@@ -555,6 +555,39 @@ def test_link_check_unlinked():
     assert link_check(HD(3, 5, 7, 1), HD(11, 13, 3, 1), Q2) == []
 
 
+# case id -> (d' - d, exponents of q in (a'/a, b'/b, c'/c)), written out
+# independently of the table under test
+_SHIFTS = {"ii": (-1, (1, 1, 1)), "iii": (0, (2, 0, 0)), "iv": (0, (0, 2, 0)),
+           "v": (0, (0, 0, 2)), "vi": (1, (-1, -1, -1))}
+
+
+# every forbidden square (case, scalar, m, e), scalar^2 != q^{m d + e}
+@pytest.mark.parametrize("case, s, m, e", [
+    ("ii", "a", -2, 0), ("ii", "b", -2, 0),
+    ("iii", "b", 2, 0), ("iii", "b", -2, 0), ("iii", "a", 0, -2),
+    ("iv", "a", 2, 0), ("iv", "a", -2, 0), ("iv", "b", 0, -2),
+    ("v", "a", 2, 0), ("v", "a", -2, 0), ("v", "b", 2, 0), ("v", "b", -2, 0),
+    ("v", "c", 0, -2),
+    ("vi", "a", -2, 0), ("vi", "b", -2, 0),
+])
+def test_link_check_rejects_each_forbidden_square(case, s, m, e):
+    # a first datum on exactly that square, with its row partner, does not
+    # link through the row; moved off the square (times 3) it links again
+    d = 1 if m == 0 else 2          # d = 2 would make a^2 = q^{-2} inadmissible
+    delta, exps = _SHIFTS[case]
+
+    def rows_linking(scale):
+        vals = {"a": R(3), "b": R(5), "c": R(7)}
+        vals[s] = int_pow(Q2, (m * d + e) // 2) * scale
+        h = HuangData(vals["a"], vals["b"], vals["c"], d)
+        h2 = HuangData(*(v * int_pow(Q2, x) for v, x in zip((h.a, h.b, h.c), exps)),
+                       d + delta)
+        return {w.case_id for w in link_check(h, h2, Q2)}
+
+    assert case not in rows_linking(1)
+    assert case in rows_linking(3)
+
+
 def test_link_check_requires_admissible_inputs():
     with pytest.raises(ValueError):
         link_check(HD(2, 5, 7, 2), HD(3, 5, 7, 0), Q2)
