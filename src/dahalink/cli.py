@@ -239,7 +239,7 @@ def cmd_extract(args: argparse.Namespace, started: float) -> int:
         "huang_plus": dict(h_plus.to_json(), q=q.to_json()),
         "huang_minus": dict(h_minus.to_json(), q=q.to_json()),
     }
-    # the generic Huang data, from the split sequences, against the closed forms
+    # the generic Huang data, from the restricted bidiagonals, against the closed forms
     agree = all(g is not None and huang_equivalent(g, h) for _, h, g in halves)
     checks = list(feas_report.checks) + [Check("huang-dual-route-agreement", agree)]
     return _finish("extract", payload, checks, started, args.out,

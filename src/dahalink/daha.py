@@ -55,8 +55,8 @@ from .leonard import (
     HuangData,
     LeonardPair,
     VerificationError,
+    _bidiagonal_array,
     _distinct_eigenvalues,
-    _first_array,
     _proportionality,
     _reciprocal_root,
     _walk_path,
@@ -509,6 +509,11 @@ class HqModule:
         """:func:`is_feasible` of this module, evaluated once."""
         return is_feasible(self)
 
+    @cached_property
+    def flattening(self) -> "UBasis":
+        """:func:`u_basis` of this module, evaluated once."""
+        return u_basis(self)
+
     def descriptor(self) -> dict:
         return {"xtype": self.xtype.value, **self.params.to_json()}
 
@@ -715,34 +720,44 @@ def _beta_values(m: HqModule) -> list[FieldElement]:
             for r, y in enumerate(_y_diagonal(m))]
 
 
+def _y_by_table(m: HqModule) -> bool:
+    """Route (a) to Y-diagonalizability: k_i k_j on the Y base avoids +-q^{-1..-n}."""
+    i, j = m.xtype.row.y_base
+    pair = m.params.k[i] * m.params.k[j]
+    return not {pair, -pair} & _q_powers(m.params.q, range(-m.params.n, 0))
+
+
+def _y_by_spectrum(m: HqModule, ladder: bool) -> bool:
+    """Route (b): the predicted y_r are distinct and Y's spectrum: the u-basis
+    shows it when X = diag(mu) and it builds, one rank per y_r otherwise."""
+    yvals = _y_diagonal(m)
+    distinct = len(set(yvals)) == m.dim
+    if distinct and ladder:
+        try:
+            return m.flattening is not None     # built: Y is triangular on the y_r
+        except (VerificationError, ValueError, ArithmeticError):
+            pass
+    return distinct and all(m.dim - rank(m.Y.shift(-v)) == 1 for v in yvals)
+
+
 def is_feasible(m: HqModule) -> tuple[bool, Report]:
     """Whether the module is feasible: X and Y both diagonalizable and t0
     with two distinct eigenvalues (each with a nonzero eigenspace).
 
-    Y-diagonalizability is decided two independent ways — the forbidden-
-    membership table on k-products, and direct eigenspace dimension counts
-    against the predicted Y-spectrum; a disagreement raises
-    :class:`VerificationError` (it would indicate a construction bug).
+    X == diag(mu), mu distinct, settles X (else one rank per mu_r); Y is
+    decided by :func:`_y_by_table` and :func:`_y_by_spectrum`, which must
+    agree (else :class:`VerificationError`); t0 takes two ranks.
     """
     checks: list[Check] = []
     n = m.params.n
-    q = m.params.q
     k0 = m.params.k[0]
     eig_dim = lambda mat, mu: n + 1 - rank(mat.shift(-mu))   # no basis needed
-    xd = all(eig_dim(m.X, mu) == 1 for mu in m.mu)
+    ladder = len(set(m.mu)) == n + 1 and m.X == ExactMatrix.diagonal(m.ctx, m.mu)
+    xd = ladder or all(eig_dim(m.X, mu) == 1 for mu in m.mu)
     checks.append(Check("X-diagonalizable-simple-spectrum", xd))
-    # route (a): the forbidden-membership table
-    line = _q_powers(q, range(-n, 0))
-    i, j = m.xtype.row.y_base
-    pair = m.params.k[i] * m.params.k[j]
-    table_ok = pair not in line and -pair not in line
-    # route (b): predicted spectrum with eigenspace dimensions
-    yvals = _y_diagonal(m)
-    distinct = len(set(yvals)) == n + 1
-    direct_ok = distinct and all(eig_dim(m.Y, v) == 1 for v in set(yvals))
-    if table_ok != direct_ok:
-        raise VerificationError(
-            "Y-diagonalizability checks disagree (table vs direct)")
+    direct_ok = _y_by_spectrum(m, ladder)
+    if _y_by_table(m) != direct_ok:
+        raise VerificationError("Y-diagonalizability checks disagree (table vs direct)")
     checks.append(Check("Y-diagonalizable-simple-spectrum", direct_ok))
     two = k0 != k0.inv()
     if two:
@@ -804,7 +819,8 @@ def u_basis(m: HqModule) -> UBasis:
     and Y^{-1} are lower tridiagonal with the predicted Y-diagonal, and X
     and X^{-1} upper tridiagonal, all from one elimination; so they stay
     after rescaling by the e_r products.  A = Y + Y^{-1} and B = X + X^{-1}
-    (:class:`HqModule`) take these shapes by linearity.
+    (:class:`HqModule`) take these shapes by linearity.  Route (b) of
+    :func:`is_feasible` reads Y's spectrum off this triangular form.
     """
     n = m.params.n
     ctx = m.ctx
@@ -863,8 +879,7 @@ def t0_split(m: HqModule) -> tuple[list[Vector], list[Vector]]:
         raise ValueError("t0-split needs a feasible module: "
                          + ", ".join(report.failures()))
     n = m.params.n
-    ub = u_basis(m)
-    uvec = [ub.columns_scaled.col(r) for r in range(n + 1)]
+    uvec = [m.flattening.columns_scaled.col(r) for r in range(n + 1)]
     fp, fm = m.F_plus, m.F_minus
     plus_idx, minus_idx = _t0_indices(m.xtype, n)
     plus = [fp.apply(uvec[i]) for i in plus_idx]
@@ -957,12 +972,11 @@ def _restricted_halves(
 
     Verified exactly: the restricted A is lower and B upper bidiagonal with
     the predicted diagonals (theta, theta*); c + c^{-1} matches its scalar
-    identity when d >= 1.  The generic data, from the first parameter array
-    under (theta, theta*), are the Leonard certificate: the split sequences
-    prove the split form, ``ParameterArray`` checks PA1-PA2, and q-Racah
-    phi and varphi satisfy PA3-PA5 (Terwilliger, Linear Algebra Appl. 330,
-    2001).  They are None, and the half uncertified, when not q-Racah; the
-    caller compares them."""
+    identity when d >= 1.  The generic data come from the parameter array
+    read off these bidiagonals (:func:`leonard._bidiagonal_array`, with
+    PA1-PA5), the Leonard certificate by Terwilliger's classification
+    (Linear Algebra Appl. 330, 2001); no split sequence runs.  They are
+    None, and the half uncertified, when not q-Racah; the caller compares."""
     plus_basis, minus_basis = t0_split(m)
     q = m.params.q
     k0, k1, k2, k3 = m.params.k
@@ -981,7 +995,7 @@ def _restricted_halves(
             raise VerificationError("restricted B has the wrong diagonal")
         pair = LeonardPair(a_res, b_res)
         closed = _closed_form_huang(m, plus)
-        generic = huang_data_from_array(_first_array(pair, theta, theta_star), q)
+        generic = huang_data_from_array(_bidiagonal_array(pair, theta, theta_star), q)
         if d >= 1:
             mix = (q.inv() * k0 + q * k0.inv()) if plus else (q * k0 + q.inv() * k0.inv())
             num = (mix * (k2 + k2.inv())

@@ -26,6 +26,7 @@ d = 0; we normalize c = 1 there).
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -518,6 +519,36 @@ def _first_array(P: LeonardPair, theta: Sequence[FieldElement],
     phi = split_sequence(P, theta, theta_star)
     varphi = split_sequence(P, theta[::-1], theta_star)
     return ParameterArray(tuple(theta), tuple(theta_star), tuple(phi), tuple(varphi))
+
+
+def _bidiagonal_array(P: LeonardPair, theta: Sequence[FieldElement],
+                      theta_star: Sequence[FieldElement]) -> ParameterArray:
+    """The parameter array of a pair with A lower and A* upper bidiagonal on
+    diagonals theta and theta* (the caller checks the shapes), or ValueError.
+    A nonzero subdiagonal of A lets a diagonal change of basis reach the split
+    form, which keeps phi_r = A[r][r-1] A*[r-1][r].  varphi follows from PA4;
+    PA3 and PA5 are checked here, PA1 and PA2 by ``ParameterArray``, and then
+    P is a Leonard pair (Terwilliger, Linear Algebra Appl. 330, 2001, Thm 1.9)."""
+    A, S, d = P.A.rows, P.Astar.rows, P.diameter
+    if any(not A[r][r - 1] for r in range(1, d + 1)):
+        raise ValueError("A has a zero subdiagonal entry: no split form")
+    if d and theta[0] == theta[d]:          # PA1, before PA3 and PA4 divide by it
+        raise ValueError("eigenvalues in a parameter array must be distinct")
+    phi = [A[r][r - 1] * S[r - 1][r] for r in range(1, d + 1)]
+    # sums[i-1]: the sum over h < i of (theta_h - theta_{d-h}) / (theta_0 - theta_d)
+    sums = [x * (theta[0] - theta[d]).inv()
+            for x in itertools.accumulate(theta[h] - theta[d - h] for h in range(d))]
+    rise = lambda i: theta_star[i] - theta_star[0]
+    varphi = [phi[0] * sums[i - 1] + rise(i) * (theta[d - i + 1] - theta[0])
+              for i in range(1, d + 1)]
+    pa = ParameterArray(tuple(theta), tuple(theta_star), tuple(phi), tuple(varphi))
+    if any(phi[i - 1] != varphi[0] * sums[i - 1] + rise(i) * (theta[i - 1] - theta[d])
+           for i in range(1, d + 1)):
+        raise ValueError("PA3 fails: phi does not follow from varphi_1")
+    beta = lambda t, i: (t[i - 2] - t[i + 1]) * (t[i - 1] - t[i]).inv()
+    if len({beta(t, i) for t in (theta, theta_star) for i in range(2, d)}) > 1:
+        raise ValueError("PA5 fails: the eigenvalue recurrences differ")
+    return pa
 
 
 def parameter_arrays(

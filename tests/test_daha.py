@@ -331,6 +331,95 @@ def test_infeasible_y_not_multiplicity_free():
     assert any("y" in f.lower() for f in report.failures())
 
 
+# (X-type, n, q, k) -> the three feasibility checks, as one rank per eigenvalue decides them
+FEASIBILITY_CASES = {
+    (XType.DDa, 3, 2, ((1, 4), 3, 7, 5)): (True, True, True),
+    (XType.DDb, 5, 3, ((1, 7), -11, -3, (1, 27))): (True, False, True),
+    (XType.DDa, 1, 2, ((1, 2), 3, 7, 5)): (True, True, False),
+}
+FEASIBILITY_NAMES = ("X-diagonalizable-simple-spectrum", "Y-diagonalizable-simple-spectrum",
+                     "t0-two-eigenvalues")
+
+
+def _feasibility_module(case, base_change=False):
+    xtype, n, q, k = case
+    m = build_module(xtype, n, K(*k), R(q))
+    if not base_change:
+        return m
+    # P = I + (ones on the superdiagonal) makes X = t3 t0 non-diagonal
+    P = ExactMatrix.from_rows(QQ, [[1 if j in (i, i + 1) else 0 for j in range(n + 1)]
+                                   for i in range(n + 1)])
+    Pi = P.inverse()
+    return HqModule(m.params, m.xtype, [Pi * t * P for t in m.t], m.mu)
+
+
+def _count_ranks(monkeypatch):
+    import dahalink.daha as daha
+
+    calls = []
+    original = daha.rank
+    monkeypatch.setattr(daha, "rank", lambda mat: calls.append(1) or original(mat))
+    return calls
+
+
+@pytest.mark.parametrize("case", FEASIBILITY_CASES, ids=lambda c: f"{c[0].value}-n{c[1]}")
+def test_feasibility_on_the_ladder_basis_counts_only_t0(monkeypatch, case):
+    ranks = _count_ranks(monkeypatch)
+    ok, report = is_feasible(_feasibility_module(case))
+    assert [(c.name, c.passed) for c in report.checks] == list(
+        zip(FEASIBILITY_NAMES, FEASIBILITY_CASES[case]))
+    assert len(ranks) == 2          # the two t0 eigenspaces; X and Y take none
+
+
+@pytest.mark.parametrize("case", FEASIBILITY_CASES, ids=lambda c: f"{c[0].value}-n{c[1]}")
+def test_feasibility_of_a_base_changed_module_falls_back_to_ranks(monkeypatch, case):
+    m = _feasibility_module(case, base_change=True)
+    assert m.X != ExactMatrix.diagonal(QQ, m.mu)
+    ranks = _count_ranks(monkeypatch)
+    ok, report = is_feasible(m)
+    checks = FEASIBILITY_CASES[case]
+    assert [(c.name, c.passed) for c in report.checks] == list(zip(FEASIBILITY_NAMES, checks))
+    assert ok is all(checks)
+    # one rank per X eigenvalue, one per Y eigenvalue when they are distinct, two for t0
+    n = case[1]
+    assert len(ranks) == (n + 1) * (2 if checks[1] else 1) + 2
+    assert "flattening" not in vars(m)
+
+
+def test_feasibility_falls_back_to_ranks_when_the_u_basis_raises(monkeypatch):
+    import dahalink.daha as daha
+
+    def broken(m):
+        raise VerificationError("the flattening recursion does not terminate")
+
+    monkeypatch.setattr(daha, "u_basis", broken)
+    ranks = _count_ranks(monkeypatch)
+    ok, report = is_feasible(build(1))
+    assert ok and [c.name for c in report.checks] == list(FEASIBILITY_NAMES)
+    assert len(ranks) == 4 + 2      # the four Y eigenvalues, then t0
+    with pytest.raises(VerificationError, match="does not terminate"):
+        t0_split(build(1))
+
+
+@pytest.mark.parametrize("route", ["_y_by_table", "_y_by_spectrum"])
+@pytest.mark.parametrize("case", list(FEASIBILITY_CASES)[:2], ids=["Y-passes", "Y-fails"])
+def test_each_y_route_can_fail_while_the_other_passes(monkeypatch, route, case):
+    import dahalink.daha as daha
+
+    answer = FEASIBILITY_CASES[case][1]
+    verdicts = {"_y_by_table": lambda m: daha._y_by_table(m),
+                "_y_by_spectrum": lambda m: daha._y_by_spectrum(m, True)}
+    assert {name: v(_feasibility_module(case)) for name, v in verdicts.items()} == {
+        "_y_by_table": answer, "_y_by_spectrum": answer}
+    original = getattr(daha, route)
+    monkeypatch.setattr(daha, route, lambda *args: not original(*args))
+    (other,) = set(verdicts) - {route}
+    assert verdicts[route](_feasibility_module(case)) is not answer
+    assert verdicts[other](_feasibility_module(case)) is answer
+    with pytest.raises(VerificationError, match="checks disagree"):
+        is_feasible(_feasibility_module(case))
+
+
 # ---------------------------------------------------------------------------
 # Flattening basis and the t0 split
 # ---------------------------------------------------------------------------
@@ -478,6 +567,53 @@ def test_restricted_pairs_raise_when_the_generic_route_disagrees(monkeypatch, ge
 
     monkeypatch.setattr(daha, "huang_data_from_array", lambda pa, q: generic)
     with pytest.raises(VerificationError, match="generic and closed-form Huang data disagree"):
+        restricted_leonard_pairs(build(1))
+
+
+def test_extraction_eliminates_as_often_at_n_25_as_at_n_5(monkeypatch):
+    # feasibility from the flattening basis and the parameter array from the
+    # restricted bidiagonals: the count does not grow with n
+    import dahalink.exactlinalg as exactlinalg
+    import dahalink.leonard as leonard
+
+    counts = {"_row_reduce": 0, "split_sequence": 0}
+    for layer, name in ((exactlinalg, "_row_reduce"), (leonard, "split_sequence")):
+        original = getattr(layer, name)
+
+        def counting(*args, _name=name, _original=original):
+            counts[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(layer, name, counting)
+    seen = []
+    for n in (5, 25):
+        rng = random.Random(1)
+        while True:
+            params = sample_params(rng, XType.DDa, n, Q2)
+            if is_feasible(build_module(XType.DDa, n, params.k, Q2))[0]:
+                break
+        m = build_module(XType.DDa, n, params.k, Q2)
+        counts.update(dict.fromkeys(counts, 0))
+        restricted_leonard_pairs(m)
+        seen.append(dict(counts))
+    assert seen[0] == seen[1] == {"_row_reduce": 9, "split_sequence": 0}
+
+
+def test_a_corrupted_restricted_entry_fails_the_certificate(monkeypatch):
+    import dahalink.daha as daha
+
+    original = daha.restrict_to_basis
+
+    def corrupted(ops, basis):
+        reps = original(ops, basis)
+        if len(ops) == 2 and len(basis) == 3:      # (A, B) on the flagship's V(k0)
+            rows = [list(row) for row in reps[1].rows]
+            rows[1][2] = rows[1][2] * 2
+            reps[1] = ExactMatrix(reps[1].ctx, rows)
+        return reps
+
+    monkeypatch.setattr(daha, "restrict_to_basis", corrupted)
+    with pytest.raises(ValueError, match="PA3 fails"):
         restricted_leonard_pairs(build(1))
 
 

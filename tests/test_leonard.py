@@ -228,6 +228,112 @@ def test_split_form_certificate_rejects_a_corrupted_pair(d, r):
         _first_array(bad, theta, theta_star)
 
 
+# ---------------------------------------------------------------------------
+# The parameter array read off a bidiagonal pair: one test per condition
+# (Terwilliger, Linear Algebra Appl. 330, 2001, Theorem 1.9)
+# ---------------------------------------------------------------------------
+
+
+def bidiagonal_pair(theta, theta_star, phi, sub=None):
+    """A lower bidiagonal on theta with subdiagonal ``sub`` (default 1s), A*
+    upper bidiagonal on theta* with superdiagonal phi_r / sub_r."""
+    d = len(theta) - 1
+    sub = sub or [QQ.one()] * d
+    z = QQ.zero()
+    A = [[theta[i] if i == j else sub[j] if i == j + 1 else z for j in range(d + 1)]
+         for i in range(d + 1)]
+    S = [[theta_star[i] if i == j else phi[i] * sub[i].inv() if j == i + 1 else z
+          for j in range(d + 1)] for i in range(d + 1)]
+    return LeonardPair(ExactMatrix(QQ, A), ExactMatrix(QQ, S))
+
+
+def qracah_pair(a, b, c, d, sub=None):
+    """The q-Racah split form at q = 2 for any (a, b, c), admissible or not."""
+    from dahalink.leonard import _phi_formula
+
+    a, b, c = (QQ.rational(*x) if isinstance(x, tuple) else QQ.rational(x) for x in (a, b, c))
+    theta, theta_star = ladder(a, d, Q2), ladder(b, d, Q2)
+    phi = [_phi_formula(a, b, c, d, Q2, r) for r in range(1, d + 1)]
+    varphi = [_phi_formula(a.inv(), b, c, d, Q2, r) for r in range(1, d + 1)]
+    return bidiagonal_pair(theta, theta_star, phi, sub), theta, theta_star, phi, varphi
+
+
+@pytest.mark.parametrize("h", [(3, 5, 7, 1), (3, 5, 7, 2), (3, 5, 7, 3), ((1, 3), 5, (1, 7), 4)])
+def test_bidiagonal_array_reads_phi_and_takes_varphi_from_pa4(h):
+    from dahalink.leonard import _bidiagonal_array
+
+    d = h[3]
+    sub = [QQ.rational(r + 2, 3) for r in range(d)]     # a rescaled split basis
+    pair, theta, theta_star, _, _ = qracah_pair(*h, sub=sub)
+    pa = _bidiagonal_array(pair, theta, theta_star)
+    assert pa.phi == tuple(split_sequence(pair, theta, theta_star))
+    assert pa.phi2 == tuple(split_sequence(pair, theta[::-1], theta_star))
+    assert huang_equivalent(huang_data_from_array(pa, Q2), hd(*h))
+
+
+def test_bidiagonal_array_needs_a_nonzero_subdiagonal():
+    from dahalink.leonard import _bidiagonal_array
+
+    pair, theta, theta_star, _, _ = qracah_pair(3, 5, 7, 2)
+    rows = [list(row) for row in pair.A.rows]
+    rows[2][1] = QQ.zero()
+    with pytest.raises(ValueError, match="zero subdiagonal"):
+        _bidiagonal_array(LeonardPair(ExactMatrix(QQ, rows), pair.Astar), theta, theta_star)
+
+
+@pytest.mark.parametrize("a, d", [(2, 3), (1, 2)], ids=["theta0=theta2", "theta0=thetad"])
+def test_bidiagonal_array_needs_distinct_eigenvalues_pa1(a, d):
+    from dahalink.leonard import _bidiagonal_array
+
+    pair, theta, theta_star, phi, varphi = qracah_pair(a, 5, 7, d)
+    assert len(set(theta)) == d and all(phi) and all(varphi)
+    with pytest.raises(ValueError, match="must be distinct"):
+        _bidiagonal_array(pair, theta, theta_star)
+
+
+@pytest.mark.parametrize("c, which", [((2, 15), "phi"), ((6, 5), "varphi")])
+def test_bidiagonal_array_needs_nonzero_split_sequences_pa2(c, which):
+    # abc = q (phi_1 = 0), or a^{-1} b c = q (varphi_1 = 0), at d = 2
+    from dahalink.leonard import _bidiagonal_array
+
+    pair, theta, theta_star, phi, varphi = qracah_pair(3, 5, c, 2)
+    assert [not x for x in phi + varphi] == [which == "phi", False, which == "varphi", False]
+    with pytest.raises(ValueError, match="split sequences must be nonzero"):
+        _bidiagonal_array(pair, theta, theta_star)
+
+
+@pytest.mark.parametrize("d, r", [(2, 0), (2, 1), (3, 0), (3, 1), (3, 2)])
+def test_bidiagonal_array_rejects_a_corrupted_superdiagonal_pa3(d, r):
+    from dahalink.leonard import _bidiagonal_array
+
+    pair, theta, theta_star, _, _ = qracah_pair(3, 5, 7, d)
+    rows = [list(row) for row in pair.Astar.rows]
+    rows[r][r + 1] = rows[r][r + 1] * 2
+    with pytest.raises(ValueError, match="PA3 fails"):
+        _bidiagonal_array(LeonardPair(pair.A, ExactMatrix(QQ, rows)), theta, theta_star)
+
+
+def test_bidiagonal_array_needs_one_recurrence_pa5():
+    # theta = 0, 1, 3, 7 has (theta_0 - theta_3)/(theta_1 - theta_2) = 7/2,
+    # the q-Racah theta* has q^2 + 1 + q^{-2} = 21/4; phi is built to satisfy
+    # PA3 and PA4, so only PA5 fails
+    from dahalink.leonard import _bidiagonal_array
+
+    d = 3
+    theta = [QQ.rational(x) for x in (0, 1, 3, 7)]
+    theta_star = ladder(QQ.rational(5), d, Q2)
+    sums = lambda i: sum((theta[h] - theta[d - h] for h in range(i)), QQ.zero()) * (
+        theta[0] - theta[d]).inv()
+    rise = lambda i: theta_star[i] - theta_star[0]
+    phi1 = QQ.one()
+    varphi1 = phi1 + rise(1) * (theta[d] - theta[0])                      # PA4, i = 1
+    phi = [varphi1 * sums(i) + rise(i) * (theta[i - 1] - theta[d]) for i in range(1, d + 1)]
+    varphi = [phi1 * sums(i) + rise(i) * (theta[d - i + 1] - theta[0]) for i in range(1, d + 1)]
+    assert phi[0] == phi1 and all(phi) and all(varphi)
+    with pytest.raises(ValueError, match="PA5 fails"):
+        _bidiagonal_array(bidiagonal_pair(theta, theta_star, phi), theta, theta_star)
+
+
 def test_recognition_eliminates_once_per_eigenvalue(monkeypatch):
     import dahalink.leonard as leonard
 
