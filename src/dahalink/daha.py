@@ -112,11 +112,6 @@ class XType(str, enum.Enum):
     SSb = "SSb"
 
     @property
-    def family(self) -> str:
-        """The reduced-diagram pattern: DS, DD, or SS (the name's first two letters)."""
-        return self.value[:2]
-
-    @property
     def even_n(self) -> bool:
         return self is XType.DS
 
@@ -287,8 +282,9 @@ def eigenvalue_ladder(xtype: XType, n: int, k: Sequence[FieldElement],
                       q: FieldElement) -> list[FieldElement]:
     """The X-eigenvalue ladder mu_0..mu_n for the given type and parameters.
 
-    Asserts the values are mutually distinct and their diagram is the
-    expected alternating path.
+    Asserts the values are mutually distinct and their diagram a path.
+    Then the n ladder bonds, single or double as :func:`_step_is_double`
+    says, are that path, and its end bonds give the X-type's family.
     """
     bad = validate_params(xtype, n, k, q)
     if bad:
@@ -300,13 +296,7 @@ def eigenvalue_ladder(xtype: XType, n: int, k: Sequence[FieldElement],
     mu = [_ladder(kk, xtype.row.x_base, qq, r) for r in range(n + 1)]
     if len(set(mu)) != n + 1:
         raise VerificationError("ladder values are not mutually distinct")
-    for r in range(n):
-        expected = (qq * qq).inv() if _step_is_double(xtype, r) else ctx.one()
-        if mu[r] * mu[r + 1] != expected:
-            raise VerificationError(f"ladder step {r} has the wrong bond")
-    diagram = x_diagram(mu, qq)
-    if diagram.pattern != xtype.family:
-        raise VerificationError("ladder diagram does not match the X-type family")
+    x_diagram(mu, qq)
     return mu
 
 
@@ -500,6 +490,11 @@ class HqModule:
         return self._t0_projector(k0.inv(), k0)
 
     @cached_property
+    def x_diagonal_ladder(self) -> bool:
+        """Whether X = t3 t0 is exactly diag(mu_0, .., mu_n), evaluated once."""
+        return self.X == ExactMatrix.diagonal(self.ctx, self.mu)
+
+    @cached_property
     def relations(self) -> "Report":
         """:func:`verify_hq_relations` of this module, evaluated once."""
         return verify_hq_relations(self)
@@ -528,17 +523,18 @@ def build_module(xtype: XType, n: int, k: Sequence[FieldElement],
                  q: FieldElement) -> HqModule:
     """Assemble the four generator matrices on the ladder basis v_0..v_n.
 
-    Single-bond ladder steps carry a 2x2 block of t0 and t3; double-bond
-    steps carry a block of t1 and t2; the remaining endpoint actions are
-    scalar.  The result is verified: all defining relations must hold and
-    X = t3 t0 must be exactly diagonal with the ladder on its diagonal.
+    Each ladder step carries one 2x2 block of a generator pair (a, b) with
+    parameters (s, t) = (k_a, k_b) at a scalar lam: (t0, t3) at lam = mu_r
+    on a single bond, (t2, t1) at lam = q^{-1} mu_r^{-1} on a double bond;
+    the remaining endpoint actions are scalar.  The result is verified:
+    all defining relations must hold and X = t3 t0 must be exactly
+    diagonal with the ladder on its diagonal.
     """
     xtype = XType(xtype)
     mu = eigenvalue_ladder(xtype, n, k, q)
     ctx = mu[0].ctx
     qq = ctx.lift(q)
     kk = tuple(ctx.lift(ki) for ki in k)
-    k0, k1, k2, k3 = kk
     z = ctx.zero()
     rows = {i: [[z] * (n + 1) for _ in range(n + 1)] for i in range(4)}
 
@@ -546,37 +542,20 @@ def build_module(xtype: XType, n: int, k: Sequence[FieldElement],
         rows[gen][r][c] = val
 
     for r in range(n):
-        m = mu[r]
-        mi = m.inv()
-        if not _step_is_double(xtype, r):
-            # t0/t3 block on span(v_r, v_{r+1})
-            den = (m - mi).inv()
-            g = _g_scalar(m, k0, k3)
-            c0, c3 = k0 + k0.inv(), k3 + k3.inv()
-            put(0, r, r, (m * c0 - c3) * den)
-            put(0, r + 1, r, m * den)
-            put(0, r, r + 1, g * (m * (mi - m)).inv())
-            put(0, r + 1, r + 1, (mi * c0 - c3) * (mi - m).inv())
-            put(3, r, r, (m * c3 - c0) * den)
-            put(3, r + 1, r, (mi - m).inv())
-            put(3, r, r + 1, g * den)
-            put(3, r + 1, r + 1, (mi * c3 - c0) * (mi - m).inv())
-        else:
-            # t1/t2 block on span(v_r, v_{r+1})
-            lo = qq.inv() * mi
-            hi = qq * m
-            den_lo = (lo - hi).inv()       # 1/(q^{-1}mu^{-1} - q mu)
-            den_hi = (hi - lo).inv()
-            g = _g_scalar(hi, k1, k2)
-            c1, c2 = k1 + k1.inv(), k2 + k2.inv()
-            put(1, r, r, (lo * c1 - c2) * den_lo)
-            put(1, r + 1, r, den_hi)
-            put(1, r, r + 1, g * den_lo)
-            put(1, r + 1, r + 1, (hi * c1 - c2) * den_hi)
-            put(2, r, r, (lo * c2 - c1) * den_lo)
-            put(2, r + 1, r, lo * den_lo)
-            put(2, r, r + 1, hi * g * den_hi)
-            put(2, r + 1, r + 1, (hi * c2 - c1) * den_hi)
+        # the block on span(v_r, v_{r+1})
+        a, b, lam = (2, 1, (qq * mu[r]).inv()) if _step_is_double(xtype, r) else (0, 3, mu[r])
+        li = lam.inv()
+        den = (lam - li).inv()
+        g = _g_scalar(lam, kk[a], kk[b])
+        cs, ct = kk[a] + kk[a].inv(), kk[b] + kk[b].inv()
+        put(a, r, r, (lam * cs - ct) * den)
+        put(a, r + 1, r, lam * den)
+        put(a, r, r + 1, -g * li * den)
+        put(a, r + 1, r + 1, (ct - li * cs) * den)
+        put(b, r, r, (lam * ct - cs) * den)
+        put(b, r + 1, r, -den)
+        put(b, r, r + 1, g * den)
+        put(b, r + 1, r + 1, (cs - li * ct) * den)
 
     # endpoint actions (each generator must touch every vertex exactly once):
     # the X-base generators act by k at v_0; at v_n the other two do (DS),
@@ -597,7 +576,7 @@ def build_module(xtype: XType, n: int, k: Sequence[FieldElement],
     if not report.ok:
         raise VerificationError(
             "constructed module fails relations: " + ", ".join(report.failures()))
-    if module.X != ExactMatrix.diagonal(ctx, mu):
+    if not module.x_diagonal_ladder:
         raise VerificationError("X is not diagonal with the ladder eigenvalues")
     return module
 
@@ -626,12 +605,10 @@ def verify_hq_relations(m: HqModule) -> Report:
         for j in range(4):
             record(f"central-t{i}-with-t{j}", central * m.t[j], m.t[j] * central)
     qinv = m.params.q.inv()
-    record("product-t0t1t2t3", m.t[0] * m.t[1] * m.t[2] * m.t[3], qinv)
-    for start, name in ((1, "t1t2t3t0"), (2, "t2t3t0t1"), (3, "t3t0t1t2")):
-        rot = m.t[start]
-        for off in range(1, 4):
-            rot = rot * m.t[(start + off) % 4]
-        record(f"product-{name}", rot, qinv)
+    for start in range(4):
+        order = [(start + off) % 4 for off in range(4)]
+        a, b, c, d = (m.t[i] for i in order)
+        record("product-" + "".join(f"t{i}" for i in order), a * b * c * d, qinv)
     return Report(tuple(checks))
 
 
@@ -752,7 +729,7 @@ def is_feasible(m: HqModule) -> tuple[bool, Report]:
     n = m.params.n
     k0 = m.params.k[0]
     eig_dim = lambda mat, mu: n + 1 - rank(mat.shift(-mu))   # no basis needed
-    ladder = len(set(m.mu)) == n + 1 and m.X == ExactMatrix.diagonal(m.ctx, m.mu)
+    ladder = len(set(m.mu)) == n + 1 and m.x_diagonal_ladder
     xd = ladder or all(eig_dim(m.X, mu) == 1 for mu in m.mu)
     checks.append(Check("X-diagonalizable-simple-spectrum", xd))
     direct_ok = _y_by_spectrum(m, ladder)
@@ -971,15 +948,13 @@ def _restricted_halves(
     """(pair, closed-form, generic Huang data) on V(k0) and V(k0^{-1}).
 
     Verified exactly: the restricted A is lower and B upper bidiagonal with
-    the predicted diagonals (theta, theta*); c + c^{-1} matches its scalar
-    identity when d >= 1.  The generic data come from the parameter array
-    read off these bidiagonals (:func:`leonard._bidiagonal_array`, with
-    PA1-PA5), the Leonard certificate by Terwilliger's classification
-    (Linear Algebra Appl. 330, 2001); no split sequence runs.  They are
-    None, and the half uncertified, when not q-Racah; the caller compares."""
+    the predicted diagonals (theta, theta*).  The generic data come from
+    the parameter array read off these bidiagonals
+    (:func:`leonard._bidiagonal_array`, with PA1-PA5), the Leonard
+    certificate by Terwilliger's classification (Linear Algebra Appl. 330,
+    2001); no split sequence runs.  They are None, and the half
+    uncertified, when not q-Racah; the caller compares."""
     plus_basis, minus_basis = t0_split(m)
-    q = m.params.q
-    k0, k1, k2, k3 = m.params.k
     results = []
     for plus, basis in ((True, plus_basis), (False, minus_basis)):
         d = len(basis) - 1
@@ -995,15 +970,8 @@ def _restricted_halves(
             raise VerificationError("restricted B has the wrong diagonal")
         pair = LeonardPair(a_res, b_res)
         closed = _closed_form_huang(m, plus)
-        generic = huang_data_from_array(_bidiagonal_array(pair, theta, theta_star), q)
-        if d >= 1:
-            mix = (q.inv() * k0 + q * k0.inv()) if plus else (q * k0 + q.inv() * k0.inv())
-            num = (mix * (k2 + k2.inv())
-                   + (k1 + k1.inv()) * (k3 + k3.inv())
-                   - (closed.a + closed.a.inv()) * (closed.b + closed.b.inv()))
-            expected = num * (int_pow(q, d + 1) + int_pow(q, -d - 1)).inv()
-            if closed.c + closed.c.inv() != expected:
-                raise VerificationError("the c-scalar cross-check fails")
+        generic = huang_data_from_array(_bidiagonal_array(pair, theta, theta_star),
+                                        m.params.q)
         results.append((pair, closed, generic))
     return results
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
@@ -142,11 +143,24 @@ def _rational_sqrt(r: Fraction) -> Optional[Fraction]:
 
 
 def _json_int(value: object) -> int:
-    """An integer read from JSON: a float must be finite and integral
-    (``int`` would truncate 3.7 and overflow on 1e400)."""
-    if isinstance(value, float) and not value.is_integer():
-        raise ValueError(f"{value!r} is not an integer")
-    return int(value)
+    """An integer read from JSON: an int, or a finite integral float (``int``
+    would truncate 3.7 and overflow on 1e400); a boolean or a string is not
+    a number."""
+    if type(value) is int or isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise ValueError(f"{value!r} is not an integer")
+
+
+_RATIONAL_LITERAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+
+
+def _json_rational(value: object) -> Fraction:
+    """A rational read from JSON: an int, or a string "[+-]digits" or
+    "[+-]digits/digits".  Each part then stays within Python's int digit
+    limit, and no exponent ("1e10000000") can expand without bound."""
+    if type(value) is int or isinstance(value, str) and _RATIONAL_LITERAL.fullmatch(value):
+        return Fraction(value)
+    raise ValueError(f"{value!r} is not an integer or a 'p/q' string")
 
 
 def _frac_str(f: Fraction) -> str:
@@ -409,11 +423,11 @@ class FieldElement:
         :class:`ContextMismatchError` before its own field is built.
         """
         if isinstance(data, (int, str)):
-            return FieldElement(ctx or QQ, Fraction(data))
+            return FieldElement(ctx or QQ, _json_rational(data))
         if isinstance(data, dict):
             disc = _json_int(data.get("disc", 1))
-            rat = Fraction(data.get("rat", 0))
-            irr = Fraction(data.get("irr", 0))
+            rat = _json_rational(data.get("rat", 0))
+            irr = _json_rational(data.get("irr", 0))
             if ctx is None:
                 ctx = FieldContext(disc)
             elif irr != 0 and ctx.disc != disc:

@@ -512,15 +512,6 @@ def split_sequence(
     return phi
 
 
-def _first_array(P: LeonardPair, theta: Sequence[FieldElement],
-                 theta_star: Sequence[FieldElement]) -> ParameterArray:
-    """The parameter array (theta, theta*, phi, varphi) of one pair of
-    standard orderings, from its two split sequences."""
-    phi = split_sequence(P, theta, theta_star)
-    varphi = split_sequence(P, theta[::-1], theta_star)
-    return ParameterArray(tuple(theta), tuple(theta_star), tuple(phi), tuple(varphi))
-
-
 def _bidiagonal_array(P: LeonardPair, theta: Sequence[FieldElement],
                       theta_star: Sequence[FieldElement]) -> ParameterArray:
     """The parameter array of a pair with A lower and A* upper bidiagonal on
@@ -572,10 +563,12 @@ def parameter_arrays(
         orderings = recognize_leonard_pair(P.A, P.Astar)
         if orderings is None:
             raise ValueError("not a recognizable Leonard pair over this field")
-    first = _first_array(P, *orderings)
-    theta, theta_star, phi, varphi = first.theta, first.theta_star, first.phi, first.phi2
+    theta, theta_star = (tuple(x) for x in orderings)
     theta_rev = theta[::-1]
     theta_star_rev = theta_star[::-1]
+    first = ParameterArray(theta, theta_star, tuple(split_sequence(P, theta, theta_star)),
+                           tuple(split_sequence(P, theta_rev, theta_star)))
+    phi, varphi = first.phi, first.phi2
     # table symmetries, each one a fresh split computation
     if tuple(split_sequence(P, theta, theta_star_rev)) != varphi[::-1]:
         raise VerificationError("second/first split sequence symmetry fails")
@@ -724,10 +717,11 @@ def build_pair_from_huang(h: HuangData, q: FieldElement) -> LeonardPair:
     A lower bidiagonal with diagonal theta_r and subdiagonal 1, A* upper
     bidiagonal with diagonal theta*_r and superdiagonal phi_r.
 
-    Certified by a Huang-data round trip: the split sequences under
-    (theta, theta*) prove the split form, and their match with the q-Racah
-    formulas of ``h`` gives PA1-PA5, so the pair is a Leonard pair
-    (Terwilliger, Linear Algebra Appl. 330, 2001).
+    Certified as the pair is built, in split form: its parameter array is
+    read off the bidiagonals with PA1-PA5 checked (:func:`_bidiagonal_array`),
+    so it is a Leonard pair (Terwilliger, Linear Algebra Appl. 330, 2001),
+    and the Huang data of that array must give back ``h``.  No split
+    sequence runs.
     """
     if not check_huang_admissible(h, q):
         raise ValueError("inadmissible Huang data")
@@ -748,7 +742,7 @@ def build_pair_from_huang(h: HuangData, q: FieldElement) -> LeonardPair:
         A_rows[r][r - 1] = ctx.one()
         S_rows[r - 1][r] = phi[r - 1]
     pair = LeonardPair(ExactMatrix(ctx, A_rows), ExactMatrix(ctx, S_rows))
-    back = huang_data_from_array(_first_array(pair, theta, theta_star), qq)
+    back = huang_data_from_array(_bidiagonal_array(pair, theta, theta_star), qq)
     if back is None or not huang_equivalent(back, h):
         raise VerificationError("Huang data round trip failed")
     return pair

@@ -381,9 +381,10 @@ def test_huang_diameter_past_the_bound_is_a_parse_error(capsys, tmp_path):
         assert code == 1 and "diameter" in rep["error"] and seconds < 1
 
 
-@pytest.mark.parametrize("value", ["1e400", "-1e400", "3.7"])
+@pytest.mark.parametrize("value", ["1e400", "-1e400", "3.7", '"3"'])
 def test_non_integral_n_d_and_disc_are_parse_errors(capsys, tmp_path, value):
-    # 1e400 reads as float infinity, which int() cannot take
+    # 1e400 reads as float infinity, which int() cannot take; a string
+    # such as "3" (or "\u0661", which int() reads as 1) is not a number
     desc = tmp_path / "desc.json"
     desc.write_text('{"xtype": "DDa", "n": %s, "q": 2, "k": ["1/4", 3, 7, 5]}' % value)
     diam = tmp_path / "d.json"
@@ -402,6 +403,56 @@ def test_non_integral_n_d_and_disc_are_parse_errors(capsys, tmp_path, value):
 # no prime factor below the trial bound 2**20: one square-free check costs
 # a full trial division
 _SLOW_DISC = 1048583 * 1048589
+
+
+@pytest.mark.parametrize("text", [
+    '{"a": %s, "b": 5, "c": 7, "d": 2, "q": 2}' % ("1" * 5000),   # past the int digit limit
+    "[" * 100000 + "]" * 100000,                                   # past the recursion limit
+], ids=["digits", "nesting"])
+def test_json_past_the_parser_limits_is_a_parse_error(capsys, tmp_path, text):
+    p = tmp_path / "h.json"
+    p.write_text(text)
+    code, rep, seconds = timed_run(capsys, "check-huang", str(p))
+    assert code == 1 and "malformed JSON" in rep["error"] and seconds < 1
+
+
+def test_json_booleans_are_not_numbers(capsys, tmp_path):
+    # true would read as 1: d = 1 links with d = 3 through case vii
+    partner = write_huang(tmp_path, "partner.json", 3, 5, 7, 3)
+    files = {
+        "d": '{"a": 3, "b": 5, "c": 7, "d": true, "q": 2}',
+        "a": '{"a": true, "b": 5, "c": 7, "d": 1, "q": 2}',
+        "rat": '{"a": {"rat": true, "irr": 1, "disc": 2}, "b": 5, "c": 7, "d": 1, "q": 2}',
+        "disc": '{"a": {"rat": 1, "irr": 1, "disc": true}, "b": 5, "c": 7, "d": 1, "q": 2}',
+        "n": '{"xtype": "DDa", "n": true, "q": 2, "k": ["1/4", 3, 7, 5]}',
+        "k": '{"xtype": "DDa", "n": 3, "q": 2, "k": ["1/4", true, 7, 5]}',
+    }
+    for name, text in files.items():
+        p = tmp_path / f"{name}.json"
+        p.write_text(text)
+        argvs = ((("construct", str(p)), ("extract", str(p))) if name in ("n", "k")
+                 else (("check-huang", str(p)), ("link", str(p), partner)))
+        for argv in argvs:
+            code, rep, seconds = timed_run(capsys, *argv)
+            assert code == 1 and "error" in rep and seconds < 1, (name, argv)
+
+
+@pytest.mark.parametrize("value", ["1e10000000", "3.5", " 3", "1_000"])
+def test_field_elements_are_integers_or_p_over_q_strings(capsys, tmp_path, value):
+    # a string is "[+-]digits" or "[+-]digits/digits"; an exponent would
+    # expand 1e10000000 into a 33-million-bit integer
+    literal = json.dumps(value)
+    huang = tmp_path / "h.json"
+    huang.write_text('{"a": %s, "b": 5, "c": 7, "d": 1, "q": 2}' % literal)
+    rat = tmp_path / "rat.json"
+    rat.write_text('{"a": {"rat": %s, "irr": 0, "disc": 1}, "b": 5, "c": 7, "d": 1, "q": 2}'
+                   % literal)
+    desc = tmp_path / "desc.json"
+    desc.write_text('{"xtype": "DDa", "n": 3, "q": 2, "k": [%s, 3, 7, 5]}' % literal)
+    for argv in (("check-huang", str(huang)), ("check-huang", str(rat)),
+                 ("construct", str(desc))):
+        code, rep, seconds = timed_run(capsys, *argv)
+        assert code == 1 and "error" in rep and seconds < 1, argv
 
 
 def test_huang_file_builds_its_field_once(capsys, tmp_path, monkeypatch):

@@ -144,6 +144,25 @@ def test_eigenvalue_ladder_values():
         eigenvalue_ladder(XType.DS, 2, K(3, 5, 7, 11), Q2)
 
 
+def test_ladder_bonds_alternate_and_fix_the_type_family():
+    # identities of the ladder formula that eigenvalue_ladder does not
+    # re-check: step r is a double bond (product q^-2) exactly where
+    # _step_is_double says, a single bond (product 1) elsewhere, and the
+    # path's end bonds give the type's family
+    from dahalink.daha import _step_is_double
+
+    rng = random.Random(17)
+    for xtype in XType:
+        for n in range(0 if xtype is XType.DS else 1, 10, 2):
+            for q in (Q2, R(3), R(-2)):
+                params = sample_params(rng, xtype, n, q)
+                mu = eigenvalue_ladder(xtype, n, params.k, q)
+                for r in range(n):
+                    bond = int_pow(q, -2) if _step_is_double(xtype, r) else QQ.one()
+                    assert mu[r] * mu[r + 1] == bond
+                assert x_diagram(mu, q).pattern == xtype.value[:2]
+
+
 def test_x_diagram_alternating_path():
     mu = eigenvalue_ladder(*FLAGSHIP, Q2)
     d = x_diagram(mu, Q2)
@@ -559,6 +578,32 @@ def test_negative_defining_root_extraction():
 def test_extraction_succeeds_on_all_types(idx):
     (pair_p, h_p), (pair_m, h_m) = restricted_leonard_pairs(build(idx))
     assert h_p.d + h_m.d + 2 == INSTANCES[idx][1] + 1
+
+
+def test_closed_form_c_satisfies_its_scalar_identity():
+    # on each half with d >= 1: (c + c^-1)(q^(d+1) + q^(-d-1)) =
+    # mix (k2 + k2^-1) + (k1 + k1^-1)(k3 + k3^-1) - (a + a^-1)(b + b^-1),
+    # mix = q^-1 k0 + q k0^-1 on V(k0) and q k0 + q^-1 k0^-1 on V(k0^-1)
+    from dahalink.daha import _closed_form_huang
+
+    z = lambda x: x + x.inv()
+    rng = random.Random(5)
+    checked = set()
+    for xtype in XType:
+        for n in range(2 if xtype is XType.DS else 3, 10, 2):
+            for q in (Q2, R(3), R(-2)):
+                params = sample_params(rng, xtype, n, q)
+                k0, k1, k2, k3 = params.k
+                m = build_module(xtype, n, params.k, q)
+                for plus in (True, False):
+                    h = _closed_form_huang(m, plus)
+                    if h.d == 0:
+                        continue
+                    mix = q.inv() * k0 + q * k0.inv() if plus else q * k0 + q.inv() * k0.inv()
+                    rhs = mix * z(k2) + z(k1) * z(k3) - z(h.a) * z(h.b)
+                    assert z(h.c) * (int_pow(q, h.d + 1) + int_pow(q, -h.d - 1)) == rhs
+                    checked.add((xtype, plus))
+    assert len(checked) == 10       # every type, both halves
 
 
 @pytest.mark.parametrize("generic", [HD(11, 13, 17, 2), None])

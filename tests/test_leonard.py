@@ -213,10 +213,8 @@ def test_recognize_rejects_non_leonard_pairs():
 @pytest.mark.parametrize("d, r", [(2, 0), (2, 1), (3, 0), (3, 1), (3, 2)])
 def test_split_form_certificate_rejects_a_corrupted_pair(d, r):
     # doubling a superdiagonal entry of A* keeps the split form under the
-    # built ladders but breaks the Leonard pair; the two split sequences
-    # under those orderings, the certificate extraction relies on, see it
-    from dahalink.leonard import _first_array
-
+    # built ladders but breaks the Leonard pair; the split sequences of
+    # parameter_arrays under those orderings see it
     pair = build_pair_from_huang(hd(3, 5, 7, d), Q2)
     rows = [list(row) for row in pair.Astar.rows]
     rows[r][r + 1] = rows[r][r + 1] * 2
@@ -225,7 +223,7 @@ def test_split_form_certificate_rejects_a_corrupted_pair(d, r):
     theta_star = ladder(QQ.rational(5), d, Q2)
     assert recognize_leonard_pair(bad.A, bad.Astar, theta, theta_star) is None
     with pytest.raises(NotStandardOrderingError):
-        _first_array(bad, theta, theta_star)
+        parameter_arrays(bad, (theta, theta_star))
 
 
 # ---------------------------------------------------------------------------
@@ -468,6 +466,21 @@ def test_huang_equivalent():
 def test_build_pair_rejects_inadmissible():
     with pytest.raises(ValueError):
         build_pair_from_huang(hd(2, 5, 7, 2), Q2)
+
+
+def test_build_pair_certifies_its_split_form_without_split_sequences(monkeypatch):
+    # the pair is built in split form: the array read off its bidiagonals
+    # and the Huang round trip certify it, with no split sequence
+    import dahalink.leonard as leonard
+
+    calls = []
+    original = leonard.split_sequence
+    monkeypatch.setattr(leonard, "split_sequence",
+                        lambda *args: calls.append(1) or original(*args))
+    pairs = [build_pair_from_huang(hd(3, 5, 7, d), Q2) for d in range(5)]
+    assert calls == []
+    parameter_arrays(pairs[2])          # the counter sees the other callers
+    assert len(calls) == 4
 
 
 def _aw_residuals(pair, Ae, h, q):
