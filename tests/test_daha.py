@@ -391,21 +391,17 @@ def test_feasibility_on_the_ladder_basis_counts_only_t0(monkeypatch, case):
 
 
 @pytest.mark.parametrize("case", FEASIBILITY_CASES, ids=lambda c: f"{c[0].value}-n{c[1]}")
-def test_feasibility_of_a_base_changed_module_falls_back_to_ranks(monkeypatch, case):
+def test_a_base_changed_module_is_refused_off_the_ladder_basis(monkeypatch, case):
     m = _feasibility_module(case, base_change=True)
-    assert m.X != ExactMatrix.diagonal(QQ, m.mu)
+    assert m.X != ExactMatrix.diagonal(QQ, m.mu) and m.relations.ok
     ranks = _count_ranks(monkeypatch)
-    ok, report = is_feasible(m)
-    checks = FEASIBILITY_CASES[case]
-    assert [(c.name, c.passed) for c in report.checks] == list(zip(FEASIBILITY_NAMES, checks))
-    assert ok is all(checks)
-    # one rank per X eigenvalue, one per Y eigenvalue when they are distinct, two for t0
-    n = case[1]
-    assert len(ranks) == (n + 1) * (2 if checks[1] else 1) + 2
-    assert "flattening" not in vars(m)
+    for stage in (is_feasible, u_basis, t0_split, restricted_leonard_pairs):
+        with pytest.raises(ValueError, match="ladder basis: X is not diag\\(mu\\)"):
+            stage(m)
+    assert not ranks and "flattening" not in vars(m)
 
 
-def test_feasibility_falls_back_to_ranks_when_the_u_basis_raises(monkeypatch):
+def test_a_u_basis_error_propagates_out_of_feasibility(monkeypatch):
     import dahalink.daha as daha
 
     def broken(m):
@@ -413,11 +409,22 @@ def test_feasibility_falls_back_to_ranks_when_the_u_basis_raises(monkeypatch):
 
     monkeypatch.setattr(daha, "u_basis", broken)
     ranks = _count_ranks(monkeypatch)
-    ok, report = is_feasible(build(1))
-    assert ok and [c.name for c in report.checks] == list(FEASIBILITY_NAMES)
-    assert len(ranks) == 4 + 2      # the four Y eigenvalues, then t0
     with pytest.raises(VerificationError, match="does not terminate"):
-        t0_split(build(1))
+        is_feasible(build(1))
+    assert not ranks                # no rank answers in the u-basis's place
+
+
+def test_repeated_mu_fails_the_x_check_on_its_own():
+    # the flagship's t0 and t1 (so Y, its u-basis and t0 are unchanged) with
+    # t3 = t0^{-1} and k3 = k0: X = X^{-1} = I = diag(1, .., 1)
+    m = build(1)
+    k0, k1, k2, _ = m.params.k
+    t = (m.t[0], m.t[1], m.t[2], m.t_inv[0])
+    hand = HqModule(HqParams(m.params.q, m.params.n, (k0, k1, k2, k0)), m.xtype, t,
+                    [QQ.one()] * m.dim)
+    assert hand.x_diagonal_ladder and hand.X_inv == hand.X
+    ok, report = is_feasible(hand)
+    assert not ok and report.failures() == ["X-diagonalizable-simple-spectrum"]
 
 
 @pytest.mark.parametrize("route", ["_y_by_table", "_y_by_spectrum"])
@@ -427,7 +434,7 @@ def test_each_y_route_can_fail_while_the_other_passes(monkeypatch, route, case):
 
     answer = FEASIBILITY_CASES[case][1]
     verdicts = {"_y_by_table": lambda m: daha._y_by_table(m),
-                "_y_by_spectrum": lambda m: daha._y_by_spectrum(m, True)}
+                "_y_by_spectrum": lambda m: daha._y_by_spectrum(m)}
     assert {name: v(_feasibility_module(case)) for name, v in verdicts.items()} == {
         "_y_by_table": answer, "_y_by_spectrum": answer}
     original = getattr(daha, route)
@@ -448,17 +455,14 @@ def test_each_y_route_can_fail_while_the_other_passes(monkeypatch, route, case):
 def test_u_basis_shapes(idx):
     m = build(idx)
     ub = u_basis(m)
-    cols = [ub.columns.col(r) for r in range(m.dim)]
-    cols_scaled = [ub.columns_scaled.col(r) for r in range(m.dim)]
-    # Y and A lower tridiagonal in u; X and B upper tridiagonal in u'
-    for mat, lower in ((m.Y, True), (m.Y + m.Y_inv, True)):
-        rep = restrict_to_basis(mat, [list(c) for c in cols])
-        assert is_lower_tridiagonal(rep) if lower else None
+    cols = [list(ub.columns.col(r)) for r in range(m.dim)]
+    # Y and A lower tridiagonal in u; X and B upper tridiagonal in u
+    for mat in (m.Y, m.Y + m.Y_inv):
+        assert is_lower_tridiagonal(restrict_to_basis(mat, cols))
     for mat in (m.X, m.X + m.X_inv):
-        rep = restrict_to_basis(mat, [list(c) for c in cols_scaled])
-        assert is_upper_tridiagonal(rep)
+        assert is_upper_tridiagonal(restrict_to_basis(mat, cols))
     # the Y-diagonal in the u basis is the predicted eigenvalue list
-    repy = restrict_to_basis(m.Y, [list(c) for c in cols])
+    repy = restrict_to_basis(m.Y, cols)
     k0, k1, k2, k3 = m.params.k
     qe = m.params.qe
     for r in range(m.dim):
@@ -479,31 +483,7 @@ def test_u_basis_shapes(idx):
 
 def test_u_basis_termination_scalars():
     ub = u_basis(build(1))
-    assert ub.e[0] == 1
-    assert len(ub.beta) == 4 and len(ub.e) == 4
-
-
-# e_0..e_n of one feasible module per X-type at q = 2, computed type by type
-# from the closed forms.  No shape check can catch a wrong e-scalar: every
-# nonzero rescaling keeps the shapes.
-E_SCALARS = (
-    (XType.DS, 6, K((1, 11), 7, (1, 3), (33, 896)),
-     "1 4096/3465 -121/351 256/105 -121/1575 -16/15 -121/3591"),
-    (XType.DDa, 5, K((-1, 8), (1, 7), -3, (1, 13)),
-     "1 397488/393851 -16/45 24843/23936 -4/45 24843/21251"),
-    (XType.DDb, 5, K(3, -11, (1, 7), (1, 8)),
-     "1 -176/18971 16/405 -11/3200 4/405 -11/12371"),
-    (XType.SSa, 5, K(7, (1, 8), -11, 5),
-     "1 -3920/37733 16/5445 -245/31652 4/5445 -245/482333"),
-    (XType.SSb, 5, K(-11, (1, 11), (1, 8), (1, 7)),
-     "1 94864/98281 -16/45 5929/6784 -4/45 539/851"),
-)
-
-
-@pytest.mark.parametrize("xtype, n, k, expected", E_SCALARS, ids=[r[0].value for r in E_SCALARS])
-def test_e_scalars_pinned(xtype, n, k, expected):
-    ub = u_basis(build_module(xtype, n, k, Q2))
-    assert [x.rat for x in ub.e] == [Fraction(v) for v in expected.split()]
+    assert len(ub.beta) == 4
 
 
 SPLIT_DIMS = {XType.DS: (2, 1), XType.DDa: (3, 1), XType.DDb: (2, 2),
@@ -641,7 +621,7 @@ def test_extraction_eliminates_as_often_at_n_25_as_at_n_5(monkeypatch):
         counts.update(dict.fromkeys(counts, 0))
         restricted_leonard_pairs(m)
         seen.append(dict(counts))
-    assert seen[0] == seen[1] == {"_row_reduce": 9, "split_sequence": 0}
+    assert seen[0] == seen[1] == {"_row_reduce": 7, "split_sequence": 0}
 
 
 def test_a_corrupted_restricted_entry_fails_the_certificate(monkeypatch):
