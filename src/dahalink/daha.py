@@ -43,11 +43,6 @@ from .exactlinalg import (
     ExactMatrix,
     Vector,
     eigenspace,     # unused here; the benchmark's tracer wraps daha.eigenspace
-    is_lower_bidiagonal,
-    is_lower_tridiagonal,
-    is_upper_bidiagonal,
-    is_upper_tridiagonal,
-    rank,
     restrict_to_basis,
 )
 from .leonard import (
@@ -716,25 +711,22 @@ def is_feasible(m: HqModule) -> tuple[bool, Report]:
 
     On the ladder basis (else ValueError) X = diag(mu), so distinct mu
     settle X; Y is decided by :func:`_y_by_table` and :func:`_y_by_spectrum`,
-    which must agree (else :class:`VerificationError`); t0 takes two ranks.
+    which must agree (else :class:`VerificationError`).  t0 must satisfy
+    its quadratic (else VerificationError), so it has both eigenvalues
+    k0^{+-1} exactly when tr t0 is neither (n+1) k0 nor (n+1) k0^{-1}.
     """
     _require_ladder_basis(m, "feasibility")
     n = m.params.n
     k0 = m.params.k[0]
-    eig_dim = lambda mat, mu: n + 1 - rank(mat.shift(-mu))   # no basis needed
+    if not (m.t[0].shift(-k0) * m.t[0].shift(-k0.inv())).is_scalar(0):
+        raise VerificationError("t0 does not satisfy its quadratic")
     checks = [Check("X-diagonalizable-simple-spectrum", len(set(m.mu)) == n + 1)]
     direct_ok = _y_by_spectrum(m)
     if _y_by_table(m) != direct_ok:
         raise VerificationError("Y-diagonalizability checks disagree (table vs direct)")
     checks.append(Check("Y-diagonalizable-simple-spectrum", direct_ok))
-    two = k0 != k0.inv()
-    if two:
-        dplus = eig_dim(m.t[0], k0)
-        dminus = eig_dim(m.t[0], k0.inv())
-        if dplus + dminus != n + 1:
-            raise VerificationError("t0-eigenspace dimensions do not fill the module")
-        two = dplus > 0 and dminus > 0
-    checks.append(Check("t0-two-eigenvalues", two))
+    checks.append(Check("t0-two-eigenvalues",
+                        m.t[0].trace() not in (k0 * (n + 1), k0.inv() * (n + 1))))
     report = Report(tuple(checks))
     return report.ok, report
 
@@ -744,11 +736,39 @@ def is_feasible(m: HqModule) -> tuple[bool, Report]:
 # ---------------------------------------------------------------------------
 
 
+def _echelon_ends(basis: Sequence[Vector], what: str) -> list[int]:
+    """Each vector's last nonzero position; these must rise strictly, which
+    proves the vectors independent, else VerificationError naming ``what``."""
+    ends = [next((i for i in range(len(v) - 1, -1, -1) if v[i]), -1) for v in basis]
+    if any(a >= b for a, b in zip([-1] + ends, ends)):
+        raise VerificationError(f"{what} is not in echelon form")
+    return ends
+
+
+def _band(M: ExactMatrix, basis: Sequence[Vector], ends: Sequence[int],
+          diag: Sequence[FieldElement], offsets: Sequence[int], what: str) -> ExactMatrix:
+    """M on an echelon ``basis`` (last nonzero positions ``ends``) where
+    M b_r = diag_r b_r + sum_o c_o b_{r+o} over ``offsets``: each c_o is read
+    at the end of b_{r+o}, highest end first, and taken off; the remainder
+    must vanish, else VerificationError naming ``what``."""
+    k = len(basis)
+    rows = [[M.ctx.zero()] * k for _ in range(k)]
+    for r, b in enumerate(basis):
+        rows[r][r] = diag[r]
+        rest = [x - diag[r] * y if y else x for x, y in zip(M.apply(b), b)]
+        for s in sorted((r + o for o in offsets if 0 <= r + o < k), reverse=True):
+            c = rows[s][r] = rest[ends[s]] * basis[s][ends[s]].inv()
+            rest = [x - c * y if y else x for x, y in zip(rest, basis[s])]
+        if any(rest):
+            raise VerificationError(what)
+    return ExactMatrix._of(M.ctx, rows)
+
+
 @dataclass(frozen=True)
 class UBasis:
     """The basis u_0..u_n flattening Y, as the columns of ``columns``, with
-    the recursion scalars ``beta``.  In it Y and A are lower and X and B
-    upper tridiagonal."""
+    the recursion scalars ``beta``; u_r ends at v_r.  In it Y and A are lower
+    and X and B upper tridiagonal, as :func:`u_basis` proves."""
 
     columns: ExactMatrix
     beta: tuple[FieldElement, ...]
@@ -760,11 +780,11 @@ def u_basis(m: HqModule) -> UBasis:
     On the ladder basis (else ValueError) u_0 = v_0 spans the first
     X-eigenspace when the mu are distinct; u_r = u_{r-1} - beta_{r-1} W u_{r-1}
     with W = Y on single-bond steps and Y^{-1} on double-bond steps; the
-    same recursion one step past the end must give zero.  In this basis Y
-    and Y^{-1} are lower tridiagonal with the predicted Y-diagonal, and X
-    and X^{-1} upper tridiagonal, all from one elimination.  A = Y + Y^{-1}
-    and B = X + X^{-1} (:class:`HqModule`) take these shapes by linearity.
-    Route (b) of :func:`is_feasible` reads Y's spectrum off this form.
+    same recursion one step past the end must give zero.  The columns must
+    be in echelon form and X, X^{-1} upper tridiagonal on mu_r, mu_r^{-1}
+    (:func:`_band`); then Y, Y^{-1} are lower tridiagonal on the predicted
+    Y-diagonal.  A and B take these shapes by linearity.  Route (b) of
+    :func:`is_feasible` reads Y's spectrum off this form.
     """
     _require_ladder_basis(m, "the flattening basis")
     n = m.params.n
@@ -779,17 +799,16 @@ def u_basis(m: HqModule) -> UBasis:
     if any(vecs[n + 1]):
         raise VerificationError("the flattening recursion does not terminate")
     cols = vecs[:n + 1]
-    try:
-        reps = restrict_to_basis((m.Y, m.Y_inv, m.X, m.X_inv), cols)
-    except ValueError:
-        raise VerificationError("the flattening vectors are linearly dependent") from None
-    if not all(is_lower_tridiagonal(r) for r in reps[:2]):
-        raise VerificationError("Y, Y^{-1}, A are not lower tridiagonal in the u-basis")
-    for r, val in enumerate(_y_diagonal(m)):
-        if reps[0].rows[r][r] != val:
-            raise VerificationError("Y-diagonal does not match the predicted spectrum")
-    if not all(is_upper_tridiagonal(r) for r in reps[2:]):
-        raise VerificationError("X, X^{-1}, B are not upper tridiagonal in the u-basis")
+    ends = _echelon_ends(cols, "the flattening basis")
+    # Y needs no check.  Let W_r be step r's operator; U_r = span(u_r..u_n) has
+    # dimension n + 1 - r.  W_r u_r = beta_r^{-1} (u_r - u_{r+1}) and u_{n+1} = 0,
+    # so by downward induction the invertible W_r maps U_r onto itself: each U_r
+    # is invariant under Y and Y^{-1}, and W_r acts on U_r / U_{r+1} as
+    # beta_r^{-1}, making Y's diagonal y_r (:func:`_beta_values`).  W alternates,
+    # so W_r^{-1} u_r = beta_r u_r + W_{r+1} u_{r+1} lies in span(u_r..u_{r+2}):
+    # Y and Y^{-1} are lower tridiagonal.
+    for name, mat, diag in (("X", m.X, m.mu), ("X^{-1}", m.X_inv, [x.inv() for x in m.mu])):
+        _band(mat, cols, ends, diag, (-1, -2), f"{name} is not upper tridiagonal in the u-basis")
     return UBasis(ExactMatrix.from_cols(ctx, cols), tuple(beta))
 
 
@@ -803,26 +822,18 @@ def _t0_indices(xtype: XType, n: int) -> tuple[list[int], list[int]]:
 def t0_split(m: HqModule) -> tuple[list[Vector], list[Vector]]:
     """Ordered bases of the two t0-eigenspaces V(k0) and V(k0^{-1}),
     obtained by projecting the type-specific subsets of the flattening
-    basis; each projected vector must be a nonzero t0-eigenvector and each
-    basis independent."""
+    basis (t0's quadratic, proven by feasibility, puts F^+- there); each
+    basis must be in echelon form, else :class:`VerificationError`."""
     feasible, report = m.feasibility
     if not feasible:
         raise ValueError("t0-split needs a feasible module: "
                          + ", ".join(report.failures()))
-    n = m.params.n
-    uvec = [m.flattening.columns.col(r) for r in range(n + 1)]
-    fp, fm = m.F_plus, m.F_minus
-    plus_idx, minus_idx = _t0_indices(m.xtype, n)
-    plus = [fp.apply(uvec[i]) for i in plus_idx]
-    minus = [fm.apply(uvec[i]) for i in minus_idx]
-    k0 = m.params.k[0]
-    for name, vs, val in (("plus", plus, k0), ("minus", minus, k0.inv())):
-        if any(not any(v) for v in vs):
-            raise VerificationError(f"a projected {name}-basis vector vanished")
-        if rank(ExactMatrix(m.ctx, vs)) != len(vs):
-            raise ValueError("basis vectors are linearly dependent")
-        if any(m.t[0].apply(v) != tuple(val * x for x in v) for v in vs):
-            raise VerificationError(f"{name}-basis vector is not a t0-eigenvector")
+    col = m.flattening.columns.col
+    plus_idx, minus_idx = _t0_indices(m.xtype, m.params.n)
+    plus = [m.F_plus.apply(col(i)) for i in plus_idx]
+    minus = [m.F_minus.apply(col(i)) for i in minus_idx]
+    for name, vs in (("plus", plus), ("minus", minus)):
+        _echelon_ends(vs, f"the projected {name}-basis")
     return plus, minus
 
 
@@ -901,28 +912,21 @@ def _restricted_halves(
 ) -> list[tuple[LeonardPair, HuangData, Optional[HuangData]]]:
     """(pair, closed-form, generic Huang data) on V(k0) and V(k0^{-1}).
 
-    Verified exactly: the restricted A is lower and B upper bidiagonal with
-    the predicted diagonals (theta, theta*).  The generic data come from
-    the parameter array read off these bidiagonals
+    Read, then checked (:func:`_band`): the restricted A is lower and B
+    upper bidiagonal with the predicted diagonals (theta, theta*).  The
+    generic data come from the parameter array read off these bidiagonals
     (:func:`leonard._bidiagonal_array`, with PA1-PA5), the Leonard
     certificate by Terwilliger's classification (Linear Algebra Appl. 330,
-    2001); no split sequence runs.  They are None, and the half
-    uncertified, when not q-Racah; the caller compares."""
+    2001); no elimination or split sequence runs.  They are None, and the
+    half uncertified, when not q-Racah; the caller compares."""
     plus_basis, minus_basis = t0_split(m)
     results = []
     for plus, basis in ((True, plus_basis), (False, minus_basis)):
-        d = len(basis) - 1
-        a_res, b_res = restrict_to_basis((m.A, m.B), basis)
-        theta, theta_star = _restricted_diagonals(m, plus, d)
-        if not is_lower_bidiagonal(a_res):
-            raise VerificationError("restricted A is not lower bidiagonal")
-        if not is_upper_bidiagonal(b_res):
-            raise VerificationError("restricted B is not upper bidiagonal")
-        if [a_res.rows[r][r] for r in range(d + 1)] != theta:
-            raise VerificationError("restricted A has the wrong diagonal")
-        if [b_res.rows[r][r] for r in range(d + 1)] != theta_star:
-            raise VerificationError("restricted B has the wrong diagonal")
-        pair = LeonardPair(a_res, b_res)
+        ends = _echelon_ends(basis, "the t0-split")   # an index scan; t0_split certified it
+        theta, theta_star = _restricted_diagonals(m, plus, len(basis) - 1)
+        pair = LeonardPair(
+            _band(m.A, basis, ends, theta, (1,), "restricted A is not lower bidiagonal"),
+            _band(m.B, basis, ends, theta_star, (-1,), "restricted B is not upper bidiagonal"))
         closed = _closed_form_huang(m, plus)
         generic = huang_data_from_array(_bidiagonal_array(pair, theta, theta_star),
                                         m.params.q)

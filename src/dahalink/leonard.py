@@ -416,24 +416,19 @@ def _lex_smaller(seq: Sequence[FieldElement]) -> list[FieldElement]:
 
 
 def recognize_leonard_pair(
-    A: ExactMatrix,
-    Astar: ExactMatrix,
-    candidates: Optional[Sequence[FieldElement]] = None,
-    candidates_star: Optional[Sequence[FieldElement]] = None,
+    A: ExactMatrix, Astar: ExactMatrix,
 ) -> Optional[tuple[tuple[FieldElement, ...], tuple[FieldElement, ...]]]:
     """Certify (A, A*) as a Leonard pair.
 
     Returns a pair (standard ordering of the A-eigenvalues, standard
     ordering of the A*-eigenvalues), each the lexicographically smaller of
-    its two directions, or None when any condition fails.  Optional
-    candidate eigenvalue lists short-circuit root extraction (needed when
-    the spectrum is known but the characteristic polynomial does not yield
-    to rational/quadratic root search).
+    its two directions, or None when any condition fails.  The spectra are
+    the characteristic polynomials' roots within the field.
     """
     if not (A.is_square and Astar.is_square and A.shape == Astar.shape):
         raise ValueError("matrices must be square and of equal size")
-    spec = _distinct_eigenvalues(A, candidates)
-    spec_star = _distinct_eigenvalues(Astar, candidates_star)
+    spec = _distinct_eigenvalues(A, None)
+    spec_star = _distinct_eigenvalues(Astar, None)
     if spec is None or spec_star is None:
         return None
     # A irreducible tridiagonal in an A*-eigenbasis fixes the theta* order;

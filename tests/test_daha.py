@@ -372,33 +372,34 @@ def _feasibility_module(case, base_change=False):
     return HqModule(m.params, m.xtype, [Pi * t * P for t in m.t], m.mu)
 
 
-def _count_ranks(monkeypatch):
-    import dahalink.daha as daha
+def _count_eliminations(monkeypatch):
+    import dahalink.exactlinalg as exactlinalg
 
     calls = []
-    original = daha.rank
-    monkeypatch.setattr(daha, "rank", lambda mat: calls.append(1) or original(mat))
+    original = exactlinalg._row_reduce
+    monkeypatch.setattr(exactlinalg, "_row_reduce",
+                        lambda rows: calls.append(1) or original(rows))
     return calls
 
 
 @pytest.mark.parametrize("case", FEASIBILITY_CASES, ids=lambda c: f"{c[0].value}-n{c[1]}")
 def test_feasibility_on_the_ladder_basis_counts_only_t0(monkeypatch, case):
-    ranks = _count_ranks(monkeypatch)
+    eliminations = _count_eliminations(monkeypatch)
     ok, report = is_feasible(_feasibility_module(case))
     assert [(c.name, c.passed) for c in report.checks] == list(
         zip(FEASIBILITY_NAMES, FEASIBILITY_CASES[case]))
-    assert len(ranks) == 2          # the two t0 eigenspaces; X and Y take none
+    assert not eliminations         # t0 by its trace; X and Y take none either
 
 
 @pytest.mark.parametrize("case", FEASIBILITY_CASES, ids=lambda c: f"{c[0].value}-n{c[1]}")
 def test_a_base_changed_module_is_refused_off_the_ladder_basis(monkeypatch, case):
     m = _feasibility_module(case, base_change=True)
     assert m.X != ExactMatrix.diagonal(QQ, m.mu) and m.relations.ok
-    ranks = _count_ranks(monkeypatch)
+    eliminations = _count_eliminations(monkeypatch)
     for stage in (is_feasible, u_basis, t0_split, restricted_leonard_pairs):
         with pytest.raises(ValueError, match="ladder basis: X is not diag\\(mu\\)"):
             stage(m)
-    assert not ranks and "flattening" not in vars(m)
+    assert not eliminations and "flattening" not in vars(m)
 
 
 def test_a_u_basis_error_propagates_out_of_feasibility(monkeypatch):
@@ -408,10 +409,21 @@ def test_a_u_basis_error_propagates_out_of_feasibility(monkeypatch):
         raise VerificationError("the flattening recursion does not terminate")
 
     monkeypatch.setattr(daha, "u_basis", broken)
-    ranks = _count_ranks(monkeypatch)
+    eliminations = _count_eliminations(monkeypatch)
     with pytest.raises(VerificationError, match="does not terminate"):
         is_feasible(build(1))
-    assert not ranks                # no rank answers in the u-basis's place
+    assert not eliminations         # no elimination answers in the u-basis's place
+
+
+def test_t0_missing_its_quadratic_makes_feasibility_raise():
+    # the flagship's generators under another k0: X = t3 t0 is still
+    # diag(mu), but t0 no longer satisfies (t0 - k0)(t0 - k0^{-1}) = 0
+    m = build(1)
+    k0, k1, k2, k3 = m.params.k
+    hand = HqModule(HqParams(m.params.q, m.params.n, (k0 * 3, k1, k2, k3)), m.xtype, m.t, m.mu)
+    assert hand.x_diagonal_ladder and not hand.relations.ok
+    with pytest.raises(VerificationError, match="t0 does not satisfy its quadratic"):
+        is_feasible(hand)
 
 
 def test_repeated_mu_fails_the_x_check_on_its_own():
@@ -484,6 +496,49 @@ def test_u_basis_shapes(idx):
 def test_u_basis_termination_scalars():
     ub = u_basis(build(1))
     assert len(ub.beta) == 4
+
+
+def test_a_u_basis_column_off_its_echelon_end_fails_the_echelon_check(monkeypatch):
+    import dahalink.daha as daha
+
+    original = daha._echelon_ends
+
+    def corrupted(basis, what):
+        if what == "the flattening basis":      # zero u_2's entry at v_2, where it ends
+            basis = [v[:2] + (QQ.zero(),) + v[3:] if r == 2 else v for r, v in enumerate(basis)]
+        return original(basis, what)
+
+    monkeypatch.setattr(daha, "_echelon_ends", corrupted)
+    with pytest.raises(VerificationError, match="the flattening basis is not in echelon form"):
+        u_basis(build(1))
+
+
+def test_a_corrupted_u_basis_entry_fails_the_x_band(monkeypatch):
+    import dahalink.daha as daha
+
+    original = daha._band
+
+    def corrupted(M, basis, ends, diag, offsets, what):
+        if offsets == (-1, -2):                 # X on the u-basis: raise u_3's entry at v_0
+            basis = [(v[0] + 1,) + v[1:] if r == 3 else v for r, v in enumerate(basis)]
+        return original(M, basis, ends, diag, offsets, what)
+
+    monkeypatch.setattr(daha, "_band", corrupted)
+    with pytest.raises(VerificationError, match="X is not upper tridiagonal"):
+        u_basis(build(1))
+
+
+@pytest.mark.parametrize("name, match", [("X", r"X is not upper"),
+                                         ("X_inv", r"X\^\{-1\} is not upper")],
+                         ids=["X", "X_inv"])
+def test_an_x_image_outside_its_band_fails_the_u_basis(name, match):
+    m = build(1)
+    assert m.x_diagonal_ladder                  # decided, and cached, on the true X
+    rows = [list(row) for row in getattr(m, name).rows]
+    rows[0][3] = rows[0][3] + 1                 # the image of u_3 gains a multiple of v_0 = u_0
+    vars(m)[name] = ExactMatrix(QQ, rows)
+    with pytest.raises(VerificationError, match=match):
+        u_basis(m)
 
 
 SPLIT_DIMS = {XType.DS: (2, 1), XType.DDa: (3, 1), XType.DDb: (2, 2),
@@ -596,8 +651,8 @@ def test_restricted_pairs_raise_when_the_generic_route_disagrees(monkeypatch, ge
 
 
 def test_extraction_eliminates_as_often_at_n_25_as_at_n_5(monkeypatch):
-    # feasibility from the flattening basis and the parameter array from the
-    # restricted bidiagonals: the count does not grow with n
+    # every basis on the extraction path is read at its echelon ends and
+    # then checked: no elimination at any n
     import dahalink.exactlinalg as exactlinalg
     import dahalink.leonard as leonard
 
@@ -621,24 +676,42 @@ def test_extraction_eliminates_as_often_at_n_25_as_at_n_5(monkeypatch):
         counts.update(dict.fromkeys(counts, 0))
         restricted_leonard_pairs(m)
         seen.append(dict(counts))
-    assert seen[0] == seen[1] == {"_row_reduce": 7, "split_sequence": 0}
+    assert seen[0] == seen[1] == {"_row_reduce": 0, "split_sequence": 0}
 
 
 def test_a_corrupted_restricted_entry_fails_the_certificate(monkeypatch):
     import dahalink.daha as daha
 
-    original = daha.restrict_to_basis
+    original = daha._band
 
-    def corrupted(ops, basis):
-        reps = original(ops, basis)
-        if len(ops) == 2 and len(basis) == 3:      # (A, B) on the flagship's V(k0)
-            rows = [list(row) for row in reps[1].rows]
+    def corrupted(M, basis, ends, diag, offsets, what):
+        out = original(M, basis, ends, diag, offsets, what)
+        if offsets == (-1,) and len(basis) == 3:    # B on the flagship's V(k0)
+            rows = [list(row) for row in out.rows]
             rows[1][2] = rows[1][2] * 2
-            reps[1] = ExactMatrix(reps[1].ctx, rows)
-        return reps
+            out = ExactMatrix(out.ctx, rows)
+        return out
 
-    monkeypatch.setattr(daha, "restrict_to_basis", corrupted)
+    monkeypatch.setattr(daha, "_band", corrupted)
     with pytest.raises(ValueError, match="PA3 fails"):
+        restricted_leonard_pairs(build(1))
+
+
+@pytest.mark.parametrize("side, match", [(0, "restricted A is not lower bidiagonal"),
+                                         (1, "restricted B is not upper bidiagonal")])
+def test_a_wrong_predicted_diagonal_fails_the_restricted_band(monkeypatch, side, match):
+    import dahalink.daha as daha
+
+    original = daha._restricted_diagonals
+
+    def wrong(m, plus, d):                      # theta_1 or theta*_1 raised by one
+        diagonals = original(m, plus, d)
+        if d:
+            diagonals[side][1] = diagonals[side][1] + 1
+        return diagonals
+
+    monkeypatch.setattr(daha, "_restricted_diagonals", wrong)
+    with pytest.raises(VerificationError, match=match):
         restricted_leonard_pairs(build(1))
 
 
