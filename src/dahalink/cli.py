@@ -277,6 +277,8 @@ def cmd_check_huang(args: argparse.Namespace, started: float) -> int:
     checks = [Check("admissible", adm)]
     if args.huang2:
         h2, q2 = _parse_huang(args.huang2)
+        if q != q2:
+            raise ValueError("the two Huang files carry different q values")
         adm2 = check_huang_admissible(h2, q2)
         payload["admissible2"] = adm2
         payload["equivalent"] = huang_equivalent(h, h2)

@@ -268,24 +268,29 @@ def validate_params(xtype: XType, n: int, k: Sequence[FieldElement],
 
 def eigenvalue_ladder(xtype: XType, n: int, k: Sequence[FieldElement],
                       q: FieldElement) -> list[FieldElement]:
-    """The X-eigenvalue ladder mu_0..mu_n for the given type and parameters.
+    """The X-eigenvalue ladder mu_0..mu_n for the given type and parameters
+    (ValueError on invalid ones).
 
-    Asserts the values are mutually distinct and their diagram a path.
-    Then the n ladder bonds, single or double as :func:`_step_is_double`
-    says, are that path, and its end bonds give the X-type's family.
+    On valid parameters the values are mutually distinct and their diagram
+    is a path: the n ladder bonds, single or double as
+    :func:`_step_is_double` says, and its end bonds give the X-type's family.
     """
     bad = validate_params(xtype, n, k, q)
     if bad:
         raise ValueError(f"invalid parameters: {', '.join(bad)}")
+    # Valid parameters suffice.  The values are b q^r and (b q^{s+1})^{-1}
+    # (b the X base, r and s of opposite parity); as q is no root of unity, two
+    # of one kind never coincide and q^{r-s-1}, the product of one of each, is
+    # 1 or q^{-2} only on a step s = r -+ 1.  Any other coincidence or bond needs
+    # b^2 = q^{-e}, e even in [2, 2n]: b = +-q^{-m}, 1 <= m <= n, which
+    # ``k0k3-line`` forbids for DS (b = k0 k3).  Otherwise b = k_solo k_p with
+    # k_solo^2 = q^{-n-1} gives k_p = +-q^e, |e| = |(n + 1)/2 - m| <= (n - 1)/2,
+    # which ``k{p}-upperline`` forbids (p = 3, 0, 2, 1: DDa, DDb, SSa, SSb).
     xtype = XType(xtype)
     ctx = common_context(q, *k)
     qq = ctx.lift(q)
     kk = [ctx.lift(ki) for ki in k]
-    mu = [_ladder(kk, xtype.row.x_base, qq, r) for r in range(n + 1)]
-    if len(set(mu)) != n + 1:
-        raise VerificationError("ladder values are not mutually distinct")
-    x_diagram(mu, qq)
-    return mu
+    return [_ladder(kk, xtype.row.x_base, qq, r) for r in range(n + 1)]
 
 
 def _ladder(k: Sequence[FieldElement], slots: tuple[int, int], q: FieldElement,
@@ -607,30 +612,19 @@ def verify_hq_relations(m: HqModule) -> Report:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DerivedElements:
-    X: ExactMatrix
-    Y: ExactMatrix
-    A: ExactMatrix
-    B: ExactMatrix
-    C: ExactMatrix
-    G: tuple[ExactMatrix, ExactMatrix, ExactMatrix, ExactMatrix]
-    F_plus: Optional[ExactMatrix]
-    F_minus: Optional[ExactMatrix]
-
-
-def derived_elements(m: HqModule) -> DerivedElements:
-    """All derived matrices, with their structural identities verified.
+def derived_elements(m: HqModule) -> None:
+    """Verify the structural identities of the derived elements, which the
+    module carries (``m.X``, ``m.A``, ``m.G``, ``m.F_plus``, ...).
 
     Verified exactly: X G0 = G0 X^{-1} and X G2 = q^{-2} G2 X^{-1}; the
     commutation X t0 - t0 X^{-1} = (k0 + k0^{-1}) X - (k3 + k3^{-1}) I;
     G0^2 = G(X, k0, k3) and G2^2 = G(qX, k1, k2); the three cyclic
     relations tying A, B, C to t0; and, when k0 != k0^{-1} (otherwise F^+
-    and F^- are None), that F^+/F^- are complementary idempotents.
+    and F^- are undefined), that F^+/F^- are complementary idempotents.
     """
     q = m.params.q
     k0, k1, k2, k3 = m.params.k
-    X, Xi, Y = m.X, m.X_inv, m.Y
+    X, Xi = m.X, m.X_inv
     G0, G2 = m.G[0], m.G[2]
     if X * G0 != G0 * Xi:
         raise VerificationError("G0 does not invert X")
@@ -659,13 +653,11 @@ def derived_elements(m: HqModule) -> DerivedElements:
         lhs = lead + ((p * r).scale(q) - (r * p).scale(q.inv())).scale(denom_inv)
         if lhs != rhs_num.scale(wt):
             raise VerificationError("a cyclic A/B/C relation fails")
-    fp = fm = None
     if k0 != k0.inv():
         fp, fm = m.F_plus, m.F_minus
         if (fp * fp != fp or fm * fm != fm or not (fp * fm).is_scalar(0)
                 or not (fp + fm).is_scalar(1)):
             raise VerificationError("t0-eigenprojections are not complementary idempotents")
-    return DerivedElements(X, Y, A, B, C, m.G, fp, fm)
 
 
 # ---------------------------------------------------------------------------
@@ -998,39 +990,23 @@ def twist(m: HqModule, which: str) -> HqModule:
 
     ``rho`` cycles t0 -> t1 -> t2 -> t3 -> t0 and sends X -> Y and
     Y -> q^{-1} X^{-1}; ``sigma`` fixes t0, swaps the roles of X and Y
-    (up to a t0-conjugation), and exchanges A with B.  Both identities
-    are verified as matrix equalities, and the twisted generators are
-    reassembled into a module with its own ladder and parameters.
+    (up to a t0-conjugation), and exchanges A with B.  The twisted
+    generators are reassembled into a module with its own ladder and
+    parameters, whose verified relations, with t0's quadratic (proven by
+    feasibility), imply both identities; rho's new X is t0 t1 = Y itself.
     """
     feasible, report = m.feasibility
     if not feasible:
         raise ValueError("twisting needs a feasible module: "
                          + ", ".join(report.failures()))
-    q = m.params.q
     if which == "rho":
         new_t = (m.t[1], m.t[2], m.t[3], m.t[0])
-        newX = new_t[3] * new_t[0]
-        newY = new_t[0] * new_t[1]
-        if newX != m.Y:
-            raise VerificationError("rho-twist: X does not become Y")
-        if newY != m.X_inv.scale(q.inv()):
-            raise VerificationError("rho-twist: Y does not become q^{-1} X^{-1}")
     elif which == "sigma":
-        t0i = m.t_inv[0]
-        t1i = m.t_inv[1]
-        new_t = (m.t[0], t0i * m.t[3] * m.t[0], m.t[1] * m.t[2] * t1i, m.t[1])
-        newX = new_t[3] * new_t[0]
-        newY = new_t[0] * new_t[1]
-        if newX != t0i * m.Y * m.t[0]:
-            raise VerificationError("sigma-twist: X does not become t0^{-1} Y t0")
-        if newY != m.X:
-            raise VerificationError("sigma-twist: Y does not become X")
-        if newY + newY.inverse() != m.B or newX + newX.inverse() != m.A:
-            raise VerificationError("sigma-twist does not exchange A and B")
+        new_t = (m.t[0], m.t_inv[0] * m.t[3] * m.t[0], m.t[1] * m.t[2] * m.t_inv[1], m.t[1])
     else:
         raise ValueError("twist must be 'rho' or 'sigma'")
     spectrum = sorted(set(_y_diagonal(m)), key=lambda e: e.canonical_str())
-    return _recognize_module(new_t, q, spectrum)
+    return _recognize_module(new_t, m.params.q, spectrum)
 
 
 # ---------------------------------------------------------------------------
@@ -1197,10 +1173,6 @@ def _construct_from(h: HuangData, h2: HuangData, q: FieldElement, sign: Optional
     else:
         C = _free_c_choice(chosen.case_id, h.d, A, B, qq)
     xtype, n, k, qq = _case_params(chosen.case_id, h.d, (A, B, C), qq, sign)
-    bad = validate_params(xtype, n, k, qq)
-    if bad:
-        raise VerificationError(
-            f"synthesized parameters are invalid: {', '.join(bad)}")
     module = build_module(xtype, n, k, qq)
     feasible, report = module.feasibility
     if not feasible:

@@ -9,7 +9,7 @@ normalization beyond reduced column echelon form for subspaces.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
 from .exactfield import _ZERO, FieldContext, FieldElement, QQ, _plus
 
@@ -24,12 +24,7 @@ __all__ = [
     "rank",
     "char_poly",
     "restrict_to_basis",
-    "is_tridiagonal",
-    "is_irreducible_tridiagonal",
-    "is_upper_bidiagonal",
-    "is_lower_bidiagonal",
-    "is_upper_tridiagonal",
-    "is_lower_tridiagonal",
+    "is_banded",
 ]
 
 Vector = tuple[FieldElement, ...]
@@ -466,41 +461,13 @@ def restrict_to_basis(m: Union[ExactMatrix, Sequence[ExactMatrix]],
 
 
 # ---------------------------------------------------------------------------
-# Shape predicates
+# Shape predicate
 # ---------------------------------------------------------------------------
 
 
-def _all_entries(m: ExactMatrix, keep: Callable[[int, int], bool]) -> bool:
-    """True iff every entry outside the kept region vanishes."""
-    return all(not m.rows[i][j]
-               for i in range(m.nrows) for j in range(m.ncols) if not keep(i, j))
-
-
-def is_tridiagonal(m: ExactMatrix) -> bool:
-    return m.is_square and _all_entries(m, lambda i, j: abs(i - j) <= 1)
-
-
-def is_irreducible_tridiagonal(m: ExactMatrix) -> bool:
-    """Tridiagonal with every entry on the sub- and superdiagonal nonzero."""
-    if not is_tridiagonal(m):
-        return False
-    n = m.nrows
-    return all(m.rows[i + 1][i] and m.rows[i][i + 1] for i in range(n - 1))
-
-
-def is_lower_bidiagonal(m: ExactMatrix) -> bool:
-    return m.is_square and _all_entries(m, lambda i, j: j <= i <= j + 1)
-
-
-def is_upper_bidiagonal(m: ExactMatrix) -> bool:
-    return m.is_square and _all_entries(m, lambda i, j: i <= j <= i + 1)
-
-
-def is_upper_tridiagonal(m: ExactMatrix) -> bool:
-    """Nonzero entries confined to ``i <= j <= i + 2``."""
-    return m.is_square and _all_entries(m, lambda i, j: i <= j <= i + 2)
-
-
-def is_lower_tridiagonal(m: ExactMatrix) -> bool:
-    """Nonzero entries confined to ``j <= i <= j + 2``."""
-    return m.is_square and _all_entries(m, lambda i, j: j <= i <= j + 2)
+def is_banded(m: ExactMatrix, below: int, above: int) -> bool:
+    """Square, with every nonzero (i, j) inside -above <= i - j <= below:
+    (1, 1) tridiagonal, (1, 0) lower and (0, 1) upper bidiagonal, (2, 0)
+    lower and (0, 2) upper tridiagonal."""
+    return m.is_square and all(not x for i, row in enumerate(m.rows)
+                               for j, x in enumerate(row) if not -above <= i - j <= below)

@@ -48,7 +48,6 @@ from .exactlinalg import (
     Vector,
     char_poly,
     eigenspace,
-    is_irreducible_tridiagonal,
     rank,
     restrict_to_basis,
 )
@@ -399,11 +398,10 @@ def _ordering_via_eigenbasis(m: ExactMatrix, evs: Sequence[FieldElement],
     # the off-diagonal support of rep must be a path
     order = _walk_path([{j for j in range(n) if j != i and (rep.rows[i][j] or rep.rows[j][i])}
                         for i in range(n)])
-    if order is None:
-        return None
-    # reordering the eigenbasis permutes rows and columns alike
-    permuted = ExactMatrix(rep.ctx, [[rep.rows[i][j] for j in order] for i in order])
-    if not is_irreducible_tridiagonal(permuted):
+    # the walk puts every off-diagonal nonzero on a step; irreducible
+    # tridiagonal asks both entries of each step to be nonzero
+    if order is None or not all(rep.rows[i][j] and rep.rows[j][i]
+                                for i, j in zip(order, order[1:])):
         return None
     return [evs[i] for i in order]
 

@@ -35,10 +35,7 @@ from dahalink.exactfield import QQ, int_pow
 from dahalink.exactlinalg import (
     ExactMatrix,
     eigenspace,
-    is_lower_bidiagonal,
-    is_lower_tridiagonal,
-    is_upper_bidiagonal,
-    is_upper_tridiagonal,
+    is_banded,
     restrict_to_basis,
 )
 from dahalink.leonard import (
@@ -243,13 +240,13 @@ def test_criterion_4():
         ub = u_basis(m)
         u_cols = [list(ub.columns.col(r)) for r in range(n + 1)]
         yrep = restrict_to_basis(m.Y, u_cols)
-        assert is_lower_tridiagonal(yrep)
-        assert is_lower_tridiagonal(restrict_to_basis(m.A, u_cols))
+        assert is_banded(yrep, 2, 0)
+        assert is_banded(restrict_to_basis(m.A, u_cols), 2, 0)
         expected = _predicted_y_diagonal(m)
         assert [yrep.rows[r][r] for r in range(n + 1)] == expected
 
-        assert is_upper_tridiagonal(restrict_to_basis(m.X, u_cols))
-        assert is_upper_tridiagonal(restrict_to_basis(m.B, u_cols))
+        assert is_banded(restrict_to_basis(m.X, u_cols), 0, 2)
+        assert is_banded(restrict_to_basis(m.B, u_cols), 0, 2)
 
         if not report.ok:
             continue
@@ -259,8 +256,8 @@ def test_criterion_4():
             d = len(basis) - 1
             a_res = restrict_to_basis(m.A, basis)
             b_res = restrict_to_basis(m.B, basis)
-            assert is_lower_bidiagonal(a_res)
-            assert is_upper_bidiagonal(b_res)
+            assert is_banded(a_res, 1, 0)
+            assert is_banded(b_res, 0, 1)
             diag_a, diag_b = _predicted_split_diagonals(m, plus, d)
             assert [a_res.rows[r][r] for r in range(d + 1)] == diag_a
             assert [b_res.rows[r][r] for r in range(d + 1)] == diag_b

@@ -322,6 +322,17 @@ def test_link_mismatched_q(capsys, tmp_path):
     assert code == 2
 
 
+def test_check_huang_refuses_files_with_different_q(capsys, tmp_path):
+    # the same data, admissible at q = 2 and at q = 3, are not comparable
+    # across the two q values, as for link
+    h1 = write_huang(tmp_path, "h1.json", 5, 7, 11, 2, q=2)
+    h2 = write_huang(tmp_path, "h2.json", 5, 7, 11, 2, q=3)
+    code, rep = run(capsys, "check-huang", h1, h2)
+    assert code == 2
+    assert rep == {"command": "check-huang",
+                   "error": "the two Huang files carry different q values"}
+
+
 def test_link_inadmissible_input(capsys, tmp_path):
     h1 = write_huang(tmp_path, "h1.json", 2, 5, 7, 2)  # a^2 = q^2
     h2 = write_huang(tmp_path, "h2.json", 3, 5, 7, 0)

@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 from fractions import Fraction
@@ -8,10 +9,7 @@ from dahalink.exactfield import QQ, FieldContext, int_pow
 from dahalink.exactlinalg import (
     ExactMatrix,
     eigenspace,
-    is_lower_bidiagonal,
-    is_lower_tridiagonal,
-    is_upper_bidiagonal,
-    is_upper_tridiagonal,
+    is_banded,
     restrict_to_basis,
 )
 from dahalink.leonard import HuangData, VerificationError, huang_equivalent
@@ -144,23 +142,43 @@ def test_eigenvalue_ladder_values():
         eigenvalue_ladder(XType.DS, 2, K(3, 5, 7, 11), Q2)
 
 
+def _adversarial_k(rng, xtype, n, q):
+    """k drawn from +-q^e {1, 3, 1/3}, |e| <= n + 2, with the type's
+    defining equation solved: near and on the forbidden lines."""
+    draw = lambda: (rng.choice((1, -1)) * int_pow(q, rng.randint(-n - 2, n + 2))
+                    * rng.choice((R(1), R(3), R(1, 3))))
+    k = [draw() for _ in range(4)]
+    if xtype is XType.DS:
+        k[3] = int_pow(q, -n - 1) * (k[0] * k[1] * k[2]).inv()
+    else:
+        k[xtype.row.solo] = rng.choice((1, -1)) * int_pow(q, -((n + 1) // 2))
+    return tuple(k)
+
+
 def test_ladder_bonds_alternate_and_fix_the_type_family():
-    # identities of the ladder formula that eigenvalue_ladder does not
-    # re-check: step r is a double bond (product q^-2) exactly where
-    # _step_is_double says, a single bond (product 1) elsewhere, and the
-    # path's end bonds give the type's family
+    # eigenvalue_ladder re-checks none of this, as validate_params implies it
+    # (the argument is a comment there).  On sampled and on adversarial valid
+    # parameters the values are distinct, the diagram's bonds are exactly the
+    # n ladder steps, double (product q^-2) where _step_is_double says and
+    # single (product 1) elsewhere, and its end bonds give the type's family.
     from dahalink.daha import _step_is_double
 
     rng = random.Random(17)
-    for xtype in XType:
-        for n in range(0 if xtype is XType.DS else 1, 10, 2):
-            for q in (Q2, R(3), R(-2)):
-                params = sample_params(rng, xtype, n, q)
-                mu = eigenvalue_ladder(xtype, n, params.k, q)
-                for r in range(n):
-                    bond = int_pow(q, -2) if _step_is_double(xtype, r) else QQ.one()
-                    assert mu[r] * mu[r + 1] == bond
-                assert x_diagram(mu, q).pattern == xtype.value[:2]
+    for q in (Q2, R(3), R(-2), R(1, 2), R(4)):
+        for xtype in XType:
+            for n in range(0 if xtype is XType.DS else 1, 10, 2):
+                sampled = sample_params(rng, xtype, n, q)
+                draws = [_adversarial_k(rng, xtype, n, q) for _ in range(20)]
+                valid = [k for k in draws if not validate_params(xtype, n, k, q)]
+                assert sampled and valid, (q, xtype, n)
+                for k in [sampled.k] + valid:
+                    mu = eigenvalue_ladder(xtype, n, k, q)
+                    assert len(set(mu)) == n + 1
+                    d = x_diagram(mu, q)
+                    steps = [(r, r + 1) for r in range(n)]
+                    assert sorted(d.double_bonds) == [s for s in steps if _step_is_double(xtype, s[0])]
+                    assert sorted(d.single_bonds) == [s for s in steps if not _step_is_double(xtype, s[0])]
+                    assert d.pattern == xtype.value[:2]
 
 
 def test_x_diagram_alternating_path():
@@ -262,20 +280,23 @@ def test_spectrum_is_simple(idx):
 @pytest.mark.parametrize("idx", range(len(INSTANCES)))
 def test_derived_element_identities(idx):
     m = build(idx)
-    der = derived_elements(m)  # raises VerificationError on any failure
-    assert der.A == m.Y + m.Y_inv
-    assert der.B == m.X + m.X_inv
+    assert derived_elements(m) is None  # raises VerificationError on any failure
+    assert m.A == m.Y + m.Y_inv
+    assert m.B == m.X + m.X_inv
     # A and B commute with t0
     t0 = m.t[0]
-    assert der.A * t0 == t0 * der.A
-    assert der.B * t0 == t0 * der.B
+    assert m.A * t0 == t0 * m.A
+    assert m.B * t0 == t0 * m.B
 
 
 def test_derived_elements_skip_projectors_when_k0_is_self_inverse():
     k = K(1, (1, 2), 3, 5)
     assert validate_params(XType.SSa, 1, k, Q2) == []
-    der = derived_elements(build_module(XType.SSa, 1, k, Q2))
-    assert der.F_plus is None and der.F_minus is None
+    m = build_module(XType.SSa, 1, k, Q2)
+    assert derived_elements(m) is None
+    assert "F_plus" not in vars(m) and "F_minus" not in vars(m)
+    with pytest.raises(ValueError):
+        m.F_plus
 
 
 def test_inverses_are_affine_in_generators():
@@ -470,9 +491,9 @@ def test_u_basis_shapes(idx):
     cols = [list(ub.columns.col(r)) for r in range(m.dim)]
     # Y and A lower tridiagonal in u; X and B upper tridiagonal in u
     for mat in (m.Y, m.Y + m.Y_inv):
-        assert is_lower_tridiagonal(restrict_to_basis(mat, cols))
+        assert is_banded(restrict_to_basis(mat, cols), 2, 0)
     for mat in (m.X, m.X + m.X_inv):
-        assert is_upper_tridiagonal(restrict_to_basis(mat, cols))
+        assert is_banded(restrict_to_basis(mat, cols), 0, 2)
     # the Y-diagonal in the u basis is the predicted eigenvalue list
     repy = restrict_to_basis(m.Y, cols)
     k0, k1, k2, k3 = m.params.k
@@ -592,7 +613,7 @@ def test_flagship_extraction():
     assert huang_equivalent(h_p, HD(3, 5, 7, 2))
     assert huang_equivalent(h_m, HD(3, 5, 7, 0))
     assert pair_p.diameter == 2 and pair_m.diameter == 0
-    assert is_lower_bidiagonal(pair_p.A) or is_lower_tridiagonal(pair_p.A)
+    assert is_banded(pair_p.A, 1, 0) or is_banded(pair_p.A, 2, 0)
 
 
 def test_ds_extraction():
@@ -756,6 +777,51 @@ def test_rho_twist():
     assert [x.rat for x in tw.params.k] == [x.rat for x in K((1, 3), (1, 7), (1, 5), (1, 4))]
     for mu in tw.mu:
         assert eigenspace(m.Y, mu).dim == 1
+
+
+@pytest.mark.parametrize("which", ["rho", "sigma"])
+@pytest.mark.parametrize("idx", range(len(INSTANCES)))
+def test_twist_identities_hold_on_every_x_type(monkeypatch, idx, which):
+    # twist does not check these: the twisted module's relations and t0's
+    # quadratic imply them.  Elimination inverses keep the check independent.
+    import dahalink.daha as daha
+
+    seen = []
+    original = daha._recognize_module
+    monkeypatch.setattr(daha, "_recognize_module",
+                        lambda t, q, spectrum: seen.append(t) or original(t, q, spectrum))
+    m = build(idx)
+    assert m.feasibility[0]
+    tw = twist(m, which)
+    (t,) = seen
+    newX, newY = t[3] * t[0], t[0] * t[1]
+    if which == "rho":
+        assert newX == m.Y
+        assert newY == m.X.inverse().scale(m.params.q.inv())
+    else:
+        assert newX == m.t[0].inverse() * m.Y * m.t[0]
+        assert newY == m.X
+        assert newY + newY.inverse() == m.B and newX + newX.inverse() == m.A
+    assert tw.relations.ok
+
+
+@pytest.mark.parametrize("idx", range(len(INSTANCES)))
+def test_twist_refuses_a_tampered_module_that_passes_feasibility(idx):
+    # feasibility reads X = t3 t0, Y = t0 t1 and t0, so any one entry of t2
+    # raised by one leaves it passing; both twists must still refuse
+    m = build(idx)
+    tampered = 0
+    for r, c in itertools.product(range(m.dim), repeat=2):
+        rows = [list(row) for row in m.t[2].rows]
+        rows[r][c] = rows[r][c] + 1
+        bad = HqModule(m.params, m.xtype, (m.t[0], m.t[1], ExactMatrix(m.ctx, rows), m.t[3]),
+                       m.mu)
+        assert bad.feasibility[0] and not bad.relations.ok
+        for which in ("rho", "sigma"):
+            with pytest.raises(VerificationError):
+                twist(bad, which)
+        tampered += 1
+    assert tampered == m.dim ** 2
 
 
 def test_twist_rejects_unknown_kind():

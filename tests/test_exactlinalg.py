@@ -11,12 +11,7 @@ from dahalink.exactlinalg import (
     Subspace,
     char_poly,
     eigenspace,
-    is_irreducible_tridiagonal,
-    is_lower_bidiagonal,
-    is_lower_tridiagonal,
-    is_tridiagonal,
-    is_upper_bidiagonal,
-    is_upper_tridiagonal,
+    is_banded,
     kernel_basis,
     rank,
     restrict_to_basis,
@@ -383,20 +378,20 @@ def test_restrict_to_basis_order_matters():
 
 def test_shape_predicates():
     diag = M([[1, 0], [0, 2]])
-    assert is_tridiagonal(diag)
+    assert is_banded(diag, 0, 0) and is_banded(diag, 1, 1)
     tri = M([[1, 1, 0], [1, 1, 1], [0, 1, 1]])
-    assert is_tridiagonal(tri) and is_irreducible_tridiagonal(tri)
-    red = M([[1, 0, 0], [1, 1, 1], [0, 1, 1]])  # zero superdiagonal entry
-    assert is_tridiagonal(red) and not is_irreducible_tridiagonal(red)
-    assert not is_tridiagonal(M([[1, 0, 1], [0, 1, 0], [0, 0, 1]]))
+    assert is_banded(tri, 1, 1) and not is_banded(tri, 1, 0) and not is_banded(tri, 0, 1)
+    assert not is_banded(M([[1, 0, 1], [0, 1, 0], [0, 0, 1]]), 1, 1)
     lower2 = M([[1, 0, 0], [1, 1, 0], [1, 1, 1]])
-    assert is_lower_tridiagonal(lower2) and not is_upper_tridiagonal(lower2)
-    assert is_upper_tridiagonal(lower2.transpose())
+    assert is_banded(lower2, 2, 0) and not is_banded(lower2, 0, 2)
+    assert not is_banded(lower2, 1, 0)
+    assert is_banded(lower2.transpose(), 0, 2)
     lb = M([[1, 0], [1, 1]])
-    assert is_lower_bidiagonal(lb) and not is_upper_bidiagonal(lb)
-    assert is_upper_bidiagonal(lb.transpose())
+    assert is_banded(lb, 1, 0) and not is_banded(lb, 0, 1)
+    assert is_banded(lb.transpose(), 0, 1)
     # bidiagonal is in particular (lower/upper) tridiagonal in the 2-band sense
-    assert is_lower_tridiagonal(lb) and is_upper_tridiagonal(lb.transpose())
+    assert is_banded(lb, 2, 0) and is_banded(lb.transpose(), 0, 2)
+    assert not is_banded(M([[1, 0, 0], [0, 1, 0]]), 2, 2)      # not square
 
 
 def test_matrix_json_round_trip():

@@ -13,8 +13,7 @@ from dahalink.exactfield import (
 )
 from dahalink.exactlinalg import (
     ExactMatrix,
-    is_lower_bidiagonal,
-    is_upper_bidiagonal,
+    is_banded,
 )
 from dahalink.leonard import (
     HuangData,
@@ -210,6 +209,24 @@ def test_recognize_rejects_non_leonard_pairs():
     assert recognize_leonard_pair(c, c) is None
 
 
+# A, in the eigenbasis of the diagonal A*, is tridiagonal with a path for its
+# support, but one step is nonzero on one side only.  Checking only the
+# entries above the diagonal accepts the first orientation, only those below
+# it the transposed one.
+ONE_SIDED_STEPS = {"d1": [[1, 1], [0, 2]], "d2": [[-2, 1, 0], [0, 2, 1], [0, 3, 4]]}
+
+
+@pytest.mark.parametrize("transpose", [False, True], ids=["zero-below", "zero-above"])
+@pytest.mark.parametrize("name", ONE_SIDED_STEPS)
+def test_recognition_refuses_a_step_nonzero_on_one_side_only(name, transpose):
+    A = ExactMatrix.from_rows(QQ, ONE_SIDED_STEPS[name])
+    A = A.transpose() if transpose else A
+    Astar = ExactMatrix.diagonal(QQ, [QQ.rational(3 + 2 * i) for i in range(A.nrows)])
+    assert is_banded(A, 1, 1)
+    assert sum(1 for i in range(A.nrows - 1) if bool(A.rows[i][i + 1]) != bool(A.rows[i + 1][i])) == 1
+    assert recognize_leonard_pair(A, Astar) is None
+
+
 @pytest.mark.parametrize("d, r", [(2, 0), (2, 1), (3, 0), (3, 1), (3, 2)])
 def test_split_form_certificate_rejects_a_corrupted_pair(d, r):
     # doubling a superdiagonal entry of A* keeps the split form under the
@@ -380,7 +397,7 @@ def test_huang_round_trip_randomized():
         if not check_huang_admissible(h, Q2):
             continue
         pair = build_pair_from_huang(h, Q2)
-        assert is_lower_bidiagonal(pair.A) and is_upper_bidiagonal(pair.Astar)
+        assert is_banded(pair.A, 1, 0) and is_banded(pair.Astar, 0, 1)
         back = huang_data_from_array(parameter_arrays(pair)[0], Q2)
         assert back is not None and huang_equivalent(back, h)
         done += 1
