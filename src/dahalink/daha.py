@@ -679,19 +679,6 @@ def _beta_values(m: HqModule) -> list[FieldElement]:
             for r, y in enumerate(_y_diagonal(m))]
 
 
-def _y_by_table(m: HqModule) -> bool:
-    """Route (a) to Y-diagonalizability: k_i k_j on the Y base avoids +-q^{-1..-n}."""
-    i, j = m.xtype.row.y_base
-    pair = m.params.k[i] * m.params.k[j]
-    return not {pair, -pair} & _q_powers(m.params.q, range(-m.params.n, 0))
-
-
-def _y_by_spectrum(m: HqModule) -> bool:
-    """Route (b): the predicted y_r are distinct and the u-basis builds, so
-    they are Y's simple spectrum."""
-    return len(set(_y_diagonal(m))) == m.dim and m.flattening is not None
-
-
 def _require_ladder_basis(m: HqModule, what: str) -> None:
     if not m.x_diagonal_ladder:
         raise ValueError(f"{what} needs the ladder basis: X is not diag(mu)")
@@ -702,24 +689,22 @@ def is_feasible(m: HqModule) -> tuple[bool, Report]:
     with two distinct eigenvalues (each with a nonzero eigenspace).
 
     On the ladder basis (else ValueError) X = diag(mu), so distinct mu
-    settle X; Y is decided by :func:`_y_by_table` and :func:`_y_by_spectrum`,
-    which must agree (else :class:`VerificationError`).  t0 must satisfy
-    its quadratic (else VerificationError), so it has both eigenvalues
-    k0^{+-1} exactly when tr t0 is neither (n+1) k0 nor (n+1) k0^{-1}.
+    settle X.  Y has a simple spectrum exactly when the predicted y_r are
+    distinct, since the u-basis (:func:`u_basis`, which raises when it does
+    not build) makes Y lower triangular on them.  t0 must satisfy its
+    quadratic (else VerificationError), so it has both eigenvalues k0^{+-1}
+    exactly when tr t0 is neither (n+1) k0 nor (n+1) k0^{-1}.
     """
     _require_ladder_basis(m, "feasibility")
     n = m.params.n
     k0 = m.params.k[0]
     if not (m.t[0].shift(-k0) * m.t[0].shift(-k0.inv())).is_scalar(0):
         raise VerificationError("t0 does not satisfy its quadratic")
-    checks = [Check("X-diagonalizable-simple-spectrum", len(set(m.mu)) == n + 1)]
-    direct_ok = _y_by_spectrum(m)
-    if _y_by_table(m) != direct_ok:
-        raise VerificationError("Y-diagonalizability checks disagree (table vs direct)")
-    checks.append(Check("Y-diagonalizable-simple-spectrum", direct_ok))
-    checks.append(Check("t0-two-eigenvalues",
-                        m.t[0].trace() not in (k0 * (n + 1), k0.inv() * (n + 1))))
-    report = Report(tuple(checks))
+    report = Report((
+        Check("X-diagonalizable-simple-spectrum", len(set(m.mu)) == n + 1),
+        Check("Y-diagonalizable-simple-spectrum",
+              len(set(_y_diagonal(m))) == n + 1 and m.flattening is not None),
+        Check("t0-two-eigenvalues", m.t[0].trace() not in (k0 * (n + 1), k0.inv() * (n + 1)))))
     return report.ok, report
 
 
@@ -738,16 +723,15 @@ def _echelon_ends(basis: Sequence[Vector], what: str) -> list[int]:
 
 
 def _band(M: ExactMatrix, basis: Sequence[Vector], ends: Sequence[int],
-          diag: Sequence[FieldElement], offsets: Sequence[int], what: str) -> ExactMatrix:
+          offsets: Sequence[int], what: str) -> ExactMatrix:
     """M on an echelon ``basis`` (last nonzero positions ``ends``) where
-    M b_r = diag_r b_r + sum_o c_o b_{r+o} over ``offsets``: each c_o is read
-    at the end of b_{r+o}, highest end first, and taken off; the remainder
-    must vanish, else VerificationError naming ``what``."""
+    M b_r = sum_o c_o b_{r+o} over ``offsets`` (0 for the diagonal): each c_o
+    is read at the end of b_{r+o}, highest end first, and taken off; the
+    remainder must vanish, else VerificationError naming ``what``."""
     k = len(basis)
     rows = [[M.ctx.zero()] * k for _ in range(k)]
     for r, b in enumerate(basis):
-        rows[r][r] = diag[r]
-        rest = [x - diag[r] * y if y else x for x, y in zip(M.apply(b), b)]
+        rest = list(M.apply(b))
         for s in sorted((r + o for o in offsets if 0 <= r + o < k), reverse=True):
             c = rows[s][r] = rest[ends[s]] * basis[s][ends[s]].inv()
             rest = [x - c * y if y else x for x, y in zip(rest, basis[s])]
@@ -773,10 +757,10 @@ def u_basis(m: HqModule) -> UBasis:
     X-eigenspace when the mu are distinct; u_r = u_{r-1} - beta_{r-1} W u_{r-1}
     with W = Y on single-bond steps and Y^{-1} on double-bond steps; the
     same recursion one step past the end must give zero.  The columns must
-    be in echelon form and X, X^{-1} upper tridiagonal on mu_r, mu_r^{-1}
-    (:func:`_band`); then Y, Y^{-1} are lower tridiagonal on the predicted
-    Y-diagonal.  A and B take these shapes by linearity.  Route (b) of
-    :func:`is_feasible` reads Y's spectrum off this form.
+    be in echelon form and X, X^{-1} upper tridiagonal (:func:`_band`; their
+    diagonals read mu_r, mu_r^{-1}, as u_r ends at v_r); then Y, Y^{-1} are
+    lower tridiagonal on the predicted Y-diagonal.  A and B take these
+    shapes by linearity.  :func:`is_feasible` reads Y's spectrum off this form.
     """
     _require_ladder_basis(m, "the flattening basis")
     n = m.params.n
@@ -799,8 +783,8 @@ def u_basis(m: HqModule) -> UBasis:
     # beta_r^{-1}, making Y's diagonal y_r (:func:`_beta_values`).  W alternates,
     # so W_r^{-1} u_r = beta_r u_r + W_{r+1} u_{r+1} lies in span(u_r..u_{r+2}):
     # Y and Y^{-1} are lower tridiagonal.
-    for name, mat, diag in (("X", m.X, m.mu), ("X^{-1}", m.X_inv, [x.inv() for x in m.mu])):
-        _band(mat, cols, ends, diag, (-1, -2), f"{name} is not upper tridiagonal in the u-basis")
+    for name, mat in (("X", m.X), ("X^{-1}", m.X_inv)):
+        _band(mat, cols, ends, (0, -1, -2), f"{name} is not upper tridiagonal in the u-basis")
     return UBasis(ExactMatrix.from_cols(ctx, cols), tuple(beta))
 
 
@@ -867,25 +851,6 @@ def _closed_form_huang(m: HqModule, plus: bool) -> HuangData:
     return HuangData(*(scale * (k[i] * shift if i == 0 else k[i]) for i in m.xtype.row.abc), d)
 
 
-def _restricted_diagonals(m: HqModule, plus: bool,
-                          d: int) -> tuple[list[FieldElement], list[FieldElement]]:
-    """Predicted standard orderings (theta for A, theta* for B) on the
-    chosen t0-eigenspace: theta_r = v_r + v_r^{-1} with v_r = base q^{2r},
-    base the Y base for A and the X base for B, times q^2 on V(k0^{-1})
-    when it holds k0 and times q on both spaces when it does not."""
-    qe = m.params.qe
-
-    def ladder(slots: tuple[int, int]) -> list[FieldElement]:
-        base = m.params.k[slots[0]] * m.params.k[slots[1]]
-        if 0 not in slots:
-            base = base * qe(1)
-        elif not plus:
-            base = base * qe(2)
-        return [v + v.inv() for v in (base * qe(2 * r) for r in range(d + 1))]
-
-    return ladder(m.xtype.row.y_base), ladder(m.xtype.row.x_base)
-
-
 def restricted_leonard_pairs(
     m: HqModule,
 ) -> tuple[tuple[LeonardPair, HuangData], tuple[LeonardPair, HuangData]]:
@@ -905,8 +870,8 @@ def _restricted_halves(
     """(pair, closed-form, generic Huang data) on V(k0) and V(k0^{-1}).
 
     Read, then checked (:func:`_band`): the restricted A is lower and B
-    upper bidiagonal with the predicted diagonals (theta, theta*).  The
-    generic data come from the parameter array read off these bidiagonals
+    upper bidiagonal.  The generic data come from the parameter array read
+    off these bidiagonals, theta and theta* their diagonals
     (:func:`leonard._bidiagonal_array`, with PA1-PA5), the Leonard
     certificate by Terwilliger's classification (Linear Algebra Appl. 330,
     2001); no elimination or split sequence runs.  They are None, and the
@@ -915,13 +880,11 @@ def _restricted_halves(
     results = []
     for plus, basis in ((True, plus_basis), (False, minus_basis)):
         ends = _echelon_ends(basis, "the t0-split")   # an index scan; t0_split certified it
-        theta, theta_star = _restricted_diagonals(m, plus, len(basis) - 1)
         pair = LeonardPair(
-            _band(m.A, basis, ends, theta, (1,), "restricted A is not lower bidiagonal"),
-            _band(m.B, basis, ends, theta_star, (-1,), "restricted B is not upper bidiagonal"))
+            _band(m.A, basis, ends, (0, 1), "restricted A is not lower bidiagonal"),
+            _band(m.B, basis, ends, (0, -1), "restricted B is not upper bidiagonal"))
         closed = _closed_form_huang(m, plus)
-        generic = huang_data_from_array(_bidiagonal_array(pair, theta, theta_star),
-                                        m.params.q)
+        generic = huang_data_from_array(_bidiagonal_array(pair), m.params.q)
         results.append((pair, closed, generic))
     return results
 
@@ -943,23 +906,38 @@ def _recognize_module(t: Sequence[ExactMatrix], q: FieldElement,
     diagram = x_diagram(list(spectrum), q)
     order = list(diagram.order)
     mu = [spectrum[i] for i in order]
-    first, last = vecs[order[0]], vecs[order[-1]]
-    eigenvalue = lambda gen, v: _proportionality(t[gen].apply(v), v)
+    ladder_ends = {"first": vecs[order[0]], "last": vecs[order[-1]]}
+
+    def eigenvalue(gen: int, end: str) -> FieldElement:
+        try:
+            return _proportionality(t[gen].apply(ladder_ends[end]), ladder_ends[end])
+        except VerificationError:
+            raise VerificationError(
+                f"twisted t{gen} does not act by a scalar at the {end} ladder vector") from None
+
     # the base generators act by their k at the first vertex; at the last,
     # t1 and t2 give theirs (DS) or the first base generator's value tells
     # the a-type (the same k) from the b-type
     pattern = diagram.pattern
     base = XType(pattern if pattern == "DS" else pattern + "a").row.x_base
-    k = {i: eigenvalue(i, first) for i in base}
+    k = {i: eigenvalue(i, "first") for i in base}
     if pattern == "DS":
         xtype = XType.DS
-        k.update((i, eigenvalue(i, last)) for i in (1, 2))
+        k.update((i, eigenvalue(i, "last")) for i in (1, 2))
     else:
-        same = eigenvalue(base[0], last) == k[base[0]]
+        same = eigenvalue(base[0], "last") == k[base[0]]
         xtype = XType(pattern + ("a" if same else "b"))
-        # the other two enter only through k + k^{-1}; normalize them
+        # the other two enter only through k + k^{-1}, which is the s of
+        # t_i^2 + I = s t_i (read entry by entry); normalize the root of x + x^{-1} = s
+        entries = lambda mat: tuple(x for row in mat.rows for x in row)
         for i in set(range(4)) - set(base):
-            e = _gen_any_eigenvalue(t[i])
+            try:
+                s = _proportionality(entries((t[i] * t[i]).shift(1)), entries(t[i]))
+            except VerificationError:
+                raise VerificationError(f"twisted t{i} satisfies no reciprocal quadratic") from None
+            e = _reciprocal_root(s)
+            if e is None:
+                raise VerificationError(f"twisted t{i} has an eigenvalue outside the field")
             k[i] = min(e, e.inv(), key=lambda x: x.canonical_str())
     k = tuple(k[i] for i in range(4))
     if eigenvalue_ladder(xtype, n, k, q) != mu:
@@ -971,18 +949,6 @@ def _recognize_module(t: Sequence[ExactMatrix], q: FieldElement,
         raise VerificationError("twisted module fails relations: "
                                 + ", ".join(report.failures()))
     return module
-
-
-def _gen_any_eigenvalue(mat: ExactMatrix) -> FieldElement:
-    """An eigenvalue of a generator matrix, using the reciprocal quadratic
-    g^2 - s g + I = 0 it satisfies: g^2 + I = s g, entry by entry, and the
-    eigenvalue solves x + x^{-1} = s."""
-    entries = lambda m: tuple(x for row in m.rows for x in row)
-    s = _proportionality(entries((mat * mat).shift(1)), entries(mat))
-    root = _reciprocal_root(s)
-    if root is None:
-        raise VerificationError("generator eigenvalue escapes the field")
-    return root
 
 
 def twist(m: HqModule, which: str) -> HqModule:
@@ -1006,7 +972,10 @@ def twist(m: HqModule, which: str) -> HqModule:
     else:
         raise ValueError("twist must be 'rho' or 'sigma'")
     spectrum = sorted(set(_y_diagonal(m)), key=lambda e: e.canonical_str())
-    return _recognize_module(new_t, m.params.q, spectrum)
+    try:
+        return _recognize_module(new_t, m.params.q, spectrum)
+    except VerificationError as err:
+        raise VerificationError(f"twist {which}: {err}") from None
 
 
 # ---------------------------------------------------------------------------

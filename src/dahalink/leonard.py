@@ -505,15 +505,15 @@ def split_sequence(
     return phi
 
 
-def _bidiagonal_array(P: LeonardPair, theta: Sequence[FieldElement],
-                      theta_star: Sequence[FieldElement]) -> ParameterArray:
-    """The parameter array of a pair with A lower and A* upper bidiagonal on
-    diagonals theta and theta* (the caller checks the shapes), or ValueError.
+def _bidiagonal_array(P: LeonardPair) -> ParameterArray:
+    """The parameter array of a pair with A lower and A* upper bidiagonal (the
+    caller checks the shapes), theta and theta* their diagonals, or ValueError.
     A nonzero subdiagonal of A lets a diagonal change of basis reach the split
     form, which keeps phi_r = A[r][r-1] A*[r-1][r].  varphi follows from PA4;
     PA3 and PA5 are checked here, PA1 and PA2 by ``ParameterArray``, and then
     P is a Leonard pair (Terwilliger, Linear Algebra Appl. 330, 2001, Thm 1.9)."""
     A, S, d = P.A.rows, P.Astar.rows, P.diameter
+    theta, theta_star = [A[r][r] for r in range(d + 1)], [S[r][r] for r in range(d + 1)]
     if any(not A[r][r - 1] for r in range(1, d + 1)):
         raise ValueError("A has a zero subdiagonal entry: no split form")
     if d and theta[0] == theta[d]:          # PA1, before PA3 and PA4 divide by it
@@ -735,7 +735,7 @@ def build_pair_from_huang(h: HuangData, q: FieldElement) -> LeonardPair:
         A_rows[r][r - 1] = ctx.one()
         S_rows[r - 1][r] = phi[r - 1]
     pair = LeonardPair(ExactMatrix(ctx, A_rows), ExactMatrix(ctx, S_rows))
-    back = huang_data_from_array(_bidiagonal_array(pair, theta, theta_star), qq)
+    back = huang_data_from_array(_bidiagonal_array(pair), qq)
     if back is None or not huang_equivalent(back, h):
         raise VerificationError("Huang data round trip failed")
     return pair

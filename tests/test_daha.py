@@ -460,23 +460,55 @@ def test_repeated_mu_fails_the_x_check_on_its_own():
     assert not ok and report.failures() == ["X-diagonalizable-simple-spectrum"]
 
 
+def _y_by_table(m):
+    # the table rule: Y has a simple spectrum exactly when k_i k_j on the
+    # type's Y base avoids +-q^-1, .., +-q^-n
+    q, n, k = m.params.q, m.params.n, m.params.k
+    i, j = m.xtype.row.y_base
+    powers = {int_pow(q, -e) for e in range(1, n + 1)}
+    return not {k[i] * k[j], -k[i] * k[j]} & powers
+
+
+def _y_by_spectrum(m):
+    # Y's characteristic polynomial is prod (x - y_r) over the predicted y_r,
+    # so the spectrum is simple exactly when they are distinct
+    from dahalink.daha import _y_diagonal
+    from dahalink.exactlinalg import char_poly
+
+    poly = [QQ.one()]
+    for y in _y_diagonal(m):                    # times (x - y), coefficients ascending
+        poly = [a - y * b for a, b in zip([QQ.zero()] + poly, poly + [QQ.zero()])]
+    assert char_poly(m.Y) == poly
+    return len(set(_y_diagonal(m))) == m.dim
+
+
 @pytest.mark.parametrize("route", ["_y_by_table", "_y_by_spectrum"])
 @pytest.mark.parametrize("case", list(FEASIBILITY_CASES)[:2], ids=["Y-passes", "Y-fails"])
-def test_each_y_route_can_fail_while_the_other_passes(monkeypatch, route, case):
-    import dahalink.daha as daha
-
+def test_each_y_route_can_fail_while_the_other_passes(route, case):
+    # is_feasible decides Y by one route; the table rule and the spectrum are
+    # oracles that share no code with it, and each must give its verdict.
+    # Where Y fails, it fails on its own: the X and t0 checks still pass
+    m = _feasibility_module(case)
     answer = FEASIBILITY_CASES[case][1]
-    verdicts = {"_y_by_table": lambda m: daha._y_by_table(m),
-                "_y_by_spectrum": lambda m: daha._y_by_spectrum(m)}
-    assert {name: v(_feasibility_module(case)) for name, v in verdicts.items()} == {
-        "_y_by_table": answer, "_y_by_spectrum": answer}
-    original = getattr(daha, route)
-    monkeypatch.setattr(daha, route, lambda *args: not original(*args))
-    (other,) = set(verdicts) - {route}
-    assert verdicts[route](_feasibility_module(case)) is not answer
-    assert verdicts[other](_feasibility_module(case)) is answer
-    with pytest.raises(VerificationError, match="checks disagree"):
-        is_feasible(_feasibility_module(case))
+    assert {"_y_by_table": _y_by_table, "_y_by_spectrum": _y_by_spectrum}[route](m) is answer
+    _, report = is_feasible(m)
+    assert report.failures() == ([] if answer else ["Y-diagonalizable-simple-spectrum"])
+
+
+def test_y_verdict_agrees_with_the_k_product_table():
+    rng = random.Random(23)
+    verdicts = set()
+    for q in (Q2, R(3), R(-2), R(1, 2), R(4)):
+        for xtype in XType:
+            for n in range(0 if xtype is XType.DS else 1, 10, 2):
+                for k in (_adversarial_k(rng, xtype, n, q) for _ in range(3)):
+                    if validate_params(xtype, n, k, q):
+                        continue
+                    m = build_module(xtype, n, k, q)
+                    table = _y_by_table(m)
+                    assert is_feasible(m)[1].checks[1].passed is table, (q, xtype, n, k)
+                    verdicts.add(table)
+    assert verdicts == {True, False}
 
 
 # ---------------------------------------------------------------------------
@@ -539,10 +571,10 @@ def test_a_corrupted_u_basis_entry_fails_the_x_band(monkeypatch):
 
     original = daha._band
 
-    def corrupted(M, basis, ends, diag, offsets, what):
-        if offsets == (-1, -2):                 # X on the u-basis: raise u_3's entry at v_0
+    def corrupted(M, basis, ends, offsets, what):
+        if offsets == (0, -1, -2):              # X on the u-basis: raise u_3's entry at v_0
             basis = [(v[0] + 1,) + v[1:] if r == 3 else v for r, v in enumerate(basis)]
-        return original(M, basis, ends, diag, offsets, what)
+        return original(M, basis, ends, offsets, what)
 
     monkeypatch.setattr(daha, "_band", corrupted)
     with pytest.raises(VerificationError, match="X is not upper tridiagonal"):
@@ -662,6 +694,30 @@ def test_closed_form_c_satisfies_its_scalar_identity():
     assert len(checked) == 10       # every type, both halves
 
 
+def test_restricted_diagonals_are_the_closed_form_ladders_in_order():
+    # no run-time prediction is left: on both halves the read diagonal of A
+    # is theta_r = a q^(2r-d) + a^-1 q^(d-2r) for the closed-form a, in this
+    # order (not the reversal, the ladder of a^-1), and B's that of b
+    from dahalink.daha import _closed_form_huang
+
+    rng = random.Random(11)
+    checked = set()
+    ladder = lambda x, q, d: [x * int_pow(q, 2 * r - d) + x.inv() * int_pow(q, d - 2 * r)
+                              for r in range(d + 1)]
+    for q in (Q2, R(3), R(-2), R(1, 2)):
+        for xtype in XType:
+            for n in range(0 if xtype is XType.DS else 1, 10, 2):
+                m = build_module(xtype, n, sample_params(rng, xtype, n, q).k, q)
+                if not is_feasible(m)[0]:
+                    continue
+                for plus, (pair, h) in zip((True, False), restricted_leonard_pairs(m)):
+                    assert h == _closed_form_huang(m, plus)
+                    assert [pair.A.rows[r][r] for r in range(h.d + 1)] == ladder(h.a, q, h.d)
+                    assert [pair.Astar.rows[r][r] for r in range(h.d + 1)] == ladder(h.b, q, h.d)
+                    checked.add((xtype, plus, h.d > 0 and h.a != h.a.inv()))
+    assert {(x, p, True) for x in XType for p in (True, False)} <= checked
+
+
 @pytest.mark.parametrize("generic", [HD(11, 13, 17, 2), None])
 def test_restricted_pairs_raise_when_the_generic_route_disagrees(monkeypatch, generic):
     import dahalink.daha as daha
@@ -705,9 +761,9 @@ def test_a_corrupted_restricted_entry_fails_the_certificate(monkeypatch):
 
     original = daha._band
 
-    def corrupted(M, basis, ends, diag, offsets, what):
-        out = original(M, basis, ends, diag, offsets, what)
-        if offsets == (-1,) and len(basis) == 3:    # B on the flagship's V(k0)
+    def corrupted(M, basis, ends, offsets, what):
+        out = original(M, basis, ends, offsets, what)
+        if offsets == (0, -1) and len(basis) == 3:  # B on the flagship's V(k0)
             rows = [list(row) for row in out.rows]
             rows[1][2] = rows[1][2] * 2
             out = ExactMatrix(out.ctx, rows)
@@ -718,21 +774,40 @@ def test_a_corrupted_restricted_entry_fails_the_certificate(monkeypatch):
         restricted_leonard_pairs(build(1))
 
 
-@pytest.mark.parametrize("side, match", [(0, "restricted A is not lower bidiagonal"),
-                                         (1, "restricted B is not upper bidiagonal")])
-def test_a_wrong_predicted_diagonal_fails_the_restricted_band(monkeypatch, side, match):
+@pytest.mark.parametrize("side", ["A", "B"])
+def test_a_shifted_restricted_diagonal_fails_the_huang_agreement(monkeypatch, capsys, tmp_path,
+                                                                 side):
+    # the generic route takes a and b from the diagonals _band reads.  Every
+    # theta_r (theta*_r) raised by one keeps PA1-PA5, which see only
+    # differences, so the pair stays Leonard but leaves its closed form; theta_1
+    # (theta*_1) alone raised by one breaks PA3 first
     import dahalink.daha as daha
+    from dahalink.cli import main
 
-    original = daha._restricted_diagonals
+    original = daha._band
+    offsets = {"A": (0, 1), "B": (0, -1)}[side]
+    only = []                                   # the diagonal entries to raise; empty: all
 
-    def wrong(m, plus, d):                      # theta_1 or theta*_1 raised by one
-        diagonals = original(m, plus, d)
-        if d:
-            diagonals[side][1] = diagonals[side][1] + 1
-        return diagonals
+    def shifted(M, basis, ends, offs, what):
+        out = original(M, basis, ends, offs, what)
+        if offs == offsets:
+            rows = [list(row) for row in out.rows]
+            for r in range(len(rows)):
+                if not only or r in only:
+                    rows[r][r] = rows[r][r] + 1
+            out = ExactMatrix(out.ctx, rows)
+        return out
 
-    monkeypatch.setattr(daha, "_restricted_diagonals", wrong)
-    with pytest.raises(VerificationError, match=match):
+    monkeypatch.setattr(daha, "_band", shifted)
+    with pytest.raises(VerificationError, match="generic and closed-form Huang data disagree"):
+        restricted_leonard_pairs(build(1))
+    path = tmp_path / "flagship.json"
+    path.write_text(json.dumps({"xtype": "DDa", "n": 3, "q": 2, "k": ["1/4", 3, 7, 5]}))
+    assert main(["extract", str(path)]) == 2
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    assert {"name": "huang-dual-route-agreement", "passed": False} in checks
+    only.append(1)
+    with pytest.raises(ValueError, match="PA3 fails"):
         restricted_leonard_pairs(build(1))
 
 
@@ -818,10 +893,24 @@ def test_twist_refuses_a_tampered_module_that_passes_feasibility(idx):
                        m.mu)
         assert bad.feasibility[0] and not bad.relations.ok
         for which in ("rho", "sigma"):
-            with pytest.raises(VerificationError):
+            with pytest.raises(VerificationError, match=f"^twist {which}: twisted "):
                 twist(bad, which)
         tampered += 1
     assert tampered == m.dim ** 2
+
+
+def test_a_twist_failure_names_the_automorphism_and_the_step():
+    # the flagship's t2[0][0] raised by one: rho's twisted t1 is t2 and
+    # sigma's twisted t2 is t1 t2 t1^-1, so each fails its reciprocal quadratic
+    m = build(1)
+    rows = [list(row) for row in m.t[2].rows]
+    rows[0][0] = rows[0][0] + 1
+    bad = HqModule(m.params, m.xtype, (m.t[0], m.t[1], ExactMatrix(QQ, rows), m.t[3]), m.mu)
+    assert bad.feasibility[0]
+    for which, gen in (("rho", 1), ("sigma", 2)):
+        with pytest.raises(VerificationError) as err:
+            twist(bad, which)
+        assert str(err.value) == f"twist {which}: twisted t{gen} satisfies no reciprocal quadratic"
 
 
 def test_twist_rejects_unknown_kind():

@@ -280,7 +280,8 @@ def test_bidiagonal_array_reads_phi_and_takes_varphi_from_pa4(h):
     d = h[3]
     sub = [QQ.rational(r + 2, 3) for r in range(d)]     # a rescaled split basis
     pair, theta, theta_star, _, _ = qracah_pair(*h, sub=sub)
-    pa = _bidiagonal_array(pair, theta, theta_star)
+    pa = _bidiagonal_array(pair)
+    assert (pa.theta, pa.theta_star) == (tuple(theta), tuple(theta_star))     # the diagonals
     assert pa.phi == tuple(split_sequence(pair, theta, theta_star))
     assert pa.phi2 == tuple(split_sequence(pair, theta[::-1], theta_star))
     assert huang_equivalent(huang_data_from_array(pa, Q2), hd(*h))
@@ -289,21 +290,21 @@ def test_bidiagonal_array_reads_phi_and_takes_varphi_from_pa4(h):
 def test_bidiagonal_array_needs_a_nonzero_subdiagonal():
     from dahalink.leonard import _bidiagonal_array
 
-    pair, theta, theta_star, _, _ = qracah_pair(3, 5, 7, 2)
+    pair = qracah_pair(3, 5, 7, 2)[0]
     rows = [list(row) for row in pair.A.rows]
     rows[2][1] = QQ.zero()
     with pytest.raises(ValueError, match="zero subdiagonal"):
-        _bidiagonal_array(LeonardPair(ExactMatrix(QQ, rows), pair.Astar), theta, theta_star)
+        _bidiagonal_array(LeonardPair(ExactMatrix(QQ, rows), pair.Astar))
 
 
 @pytest.mark.parametrize("a, d", [(2, 3), (1, 2)], ids=["theta0=theta2", "theta0=thetad"])
 def test_bidiagonal_array_needs_distinct_eigenvalues_pa1(a, d):
     from dahalink.leonard import _bidiagonal_array
 
-    pair, theta, theta_star, phi, varphi = qracah_pair(a, 5, 7, d)
+    pair, theta, _, phi, varphi = qracah_pair(a, 5, 7, d)
     assert len(set(theta)) == d and all(phi) and all(varphi)
     with pytest.raises(ValueError, match="must be distinct"):
-        _bidiagonal_array(pair, theta, theta_star)
+        _bidiagonal_array(pair)
 
 
 @pytest.mark.parametrize("c, which", [((2, 15), "phi"), ((6, 5), "varphi")])
@@ -311,21 +312,21 @@ def test_bidiagonal_array_needs_nonzero_split_sequences_pa2(c, which):
     # abc = q (phi_1 = 0), or a^{-1} b c = q (varphi_1 = 0), at d = 2
     from dahalink.leonard import _bidiagonal_array
 
-    pair, theta, theta_star, phi, varphi = qracah_pair(3, 5, c, 2)
+    pair, _, _, phi, varphi = qracah_pair(3, 5, c, 2)
     assert [not x for x in phi + varphi] == [which == "phi", False, which == "varphi", False]
     with pytest.raises(ValueError, match="split sequences must be nonzero"):
-        _bidiagonal_array(pair, theta, theta_star)
+        _bidiagonal_array(pair)
 
 
 @pytest.mark.parametrize("d, r", [(2, 0), (2, 1), (3, 0), (3, 1), (3, 2)])
 def test_bidiagonal_array_rejects_a_corrupted_superdiagonal_pa3(d, r):
     from dahalink.leonard import _bidiagonal_array
 
-    pair, theta, theta_star, _, _ = qracah_pair(3, 5, 7, d)
+    pair = qracah_pair(3, 5, 7, d)[0]
     rows = [list(row) for row in pair.Astar.rows]
     rows[r][r + 1] = rows[r][r + 1] * 2
     with pytest.raises(ValueError, match="PA3 fails"):
-        _bidiagonal_array(LeonardPair(pair.A, ExactMatrix(QQ, rows)), theta, theta_star)
+        _bidiagonal_array(LeonardPair(pair.A, ExactMatrix(QQ, rows)))
 
 
 def test_bidiagonal_array_needs_one_recurrence_pa5():
@@ -346,7 +347,7 @@ def test_bidiagonal_array_needs_one_recurrence_pa5():
     varphi = [phi1 * sums(i) + rise(i) * (theta[d - i + 1] - theta[0]) for i in range(1, d + 1)]
     assert phi[0] == phi1 and all(phi) and all(varphi)
     with pytest.raises(ValueError, match="PA5 fails"):
-        _bidiagonal_array(bidiagonal_pair(theta, theta_star, phi), theta, theta_star)
+        _bidiagonal_array(bidiagonal_pair(theta, theta_star, phi))
 
 
 def test_recognition_eliminates_once_per_eigenvalue(monkeypatch):
