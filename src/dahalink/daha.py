@@ -42,7 +42,7 @@ from .exactfield import (
 from .exactlinalg import (
     ExactMatrix,
     Vector,
-    eigenspace,     # unused here; the benchmark's tracer wraps daha.eigenspace
+    eigenspace,
     restrict_to_basis,
 )
 from .leonard import (
@@ -51,10 +51,8 @@ from .leonard import (
     LeonardPair,
     VerificationError,
     _bidiagonal_array,
-    _distinct_eigenvalues,
     _proportionality,
     _reciprocal_root,
-    _walk_path,
     check_huang_admissible,
     common_context,
     huang_data_from_array,
@@ -65,7 +63,6 @@ __all__ = [
     "XType",
     "HqParams",
     "HqModule",
-    "XDiagram",
     "UBasis",
     "LinkCase",
     "LinkConstruction",
@@ -77,7 +74,6 @@ __all__ = [
     "build_module",
     "verify_hq_relations",
     "derived_elements",
-    "x_diagram",
     "is_feasible",
     "u_basis",
     "t0_split",
@@ -308,77 +304,6 @@ def _step_is_double(xtype: XType, r: int) -> bool:
     """Whether ladder step r (mu_r to mu_{r+1}) is a double bond: exactly
     where the X-ladder takes the form base q^r."""
     return (r % 2 == 0) == (0 in XType(xtype).row.x_base)
-
-
-# ---------------------------------------------------------------------------
-# The X-diagram
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class XDiagram:
-    """Bond structure of a set of prospective X-eigenvalues.
-
-    ``order`` walks the reduced diagram as a path (indices into ``mu``);
-    ``pattern`` classifies by the two end bonds: DS (one double, one
-    single end), DD (both double), SS (both single).  A single vertex is
-    DS by convention.  Loops (mu^2 = 1 or q^{-2}) are kept separate and do
-    not affect the path.
-    """
-
-    mu: tuple[FieldElement, ...]
-    order: tuple[int, ...]
-    single_bonds: tuple[tuple[int, int], ...]
-    double_bonds: tuple[tuple[int, int], ...]
-    loops: tuple[tuple[int, str], ...]
-    pattern: str
-
-
-def x_diagram(mu: Sequence[FieldElement], q: FieldElement) -> XDiagram:
-    """Build and classify the diagram of distinct prospective eigenvalues.
-
-    Raises ValueError when the reduced diagram is not a path.
-    """
-    m = len(mu)
-    if len(set(mu)) != m:
-        raise ValueError("diagram vertices must be distinct")
-    one = q.ctx.one()
-    qm2 = int_pow(q, -2)
-    singles, doubles, loops = [], [], []
-    for i in range(m):
-        sq = mu[i] * mu[i]
-        if sq == one:
-            loops.append((i, "single"))
-        if sq == qm2:
-            loops.append((i, "double"))
-        for j in range(i + 1, m):
-            prod = mu[i] * mu[j]
-            if prod == one:
-                singles.append((i, j))
-            elif prod == qm2:
-                doubles.append((i, j))
-    kind: dict[tuple[int, int], str] = {}
-    adj: list[list[int]] = [[] for _ in range(m)]
-    for i, j in singles + doubles:
-        adj[i].append(j)
-        adj[j].append(i)
-        kind[i, j] = kind[j, i] = "single" if (i, j) in singles else "double"
-    if m == 1:
-        return XDiagram(tuple(mu), (0,), tuple(singles), tuple(doubles),
-                        tuple(loops), "DS")
-    walk = _walk_path(adj)
-    if walk is None:
-        raise ValueError("reduced diagram is not a path")
-    first, last = kind[walk[0], walk[1]], kind[walk[-2], walk[-1]]
-    if {first, last} == {"single", "double"}:
-        pattern = "DS"
-        order = walk if first == "double" else walk[::-1]
-    else:
-        pattern = "DD" if first == "double" else "SS"
-        serial = lambda w: json.dumps([mu[i].to_json() for i in w])
-        order = min(walk, walk[::-1], key=serial)
-    return XDiagram(tuple(mu), tuple(order), tuple(singles), tuple(doubles),
-                    tuple(loops), pattern)
 
 
 # ---------------------------------------------------------------------------
@@ -884,7 +809,12 @@ def _restricted_halves(
             _band(m.A, basis, ends, (0, 1), "restricted A is not lower bidiagonal"),
             _band(m.B, basis, ends, (0, -1), "restricted B is not upper bidiagonal"))
         closed = _closed_form_huang(m, plus)
-        generic = huang_data_from_array(_bidiagonal_array(pair), m.params.q)
+        try:
+            array = _bidiagonal_array(pair)
+        except ValueError as err:
+            half = "V(k0)" if plus else "V(k0^-1)"
+            raise ValueError(f"restricted pair on {half}: {err}") from None
+        generic = huang_data_from_array(array, m.params.q)
         results.append((pair, closed, generic))
     return results
 
@@ -895,18 +825,31 @@ def _restricted_halves(
 
 
 def _recognize_module(t: Sequence[ExactMatrix], q: FieldElement,
-                      spectrum: Sequence[FieldElement]) -> HqModule:
+                      ladder: Sequence[FieldElement]) -> HqModule:
     """Rebuild (xtype, ladder, parameters) from four generator matrices
-    whose X = t3 t0 has the given candidate spectrum."""
+    whose X = t3 t0 has the given ladder, in either direction: distinct
+    values whose consecutive products are 1 (single bond) or q^{-2}
+    (double bond)."""
     n = t[0].nrows - 1
-    spec = _distinct_eigenvalues(t[3] * t[0], spectrum)
-    if spec is None:
-        raise VerificationError("twisted X is not multiplicity-free")
-    vecs = spec[1]
-    diagram = x_diagram(list(spectrum), q)
-    order = list(diagram.order)
-    mu = [spectrum[i] for i in order]
-    ladder_ends = {"first": vecs[order[0]], "last": vecs[order[-1]]}
+    # the end bonds give the family (a single vertex counts as DS); a DS
+    # ladder runs from its double end, DD and SS in the direction that
+    # serializes smaller
+    qm2 = int_pow(q, -2)
+    fwd = list(ladder)
+    ends = (fwd[0] * fwd[1] == qm2, fwd[-2] * fwd[-1] == qm2) if n else (True, False)
+    if ends[0] != ends[1]:
+        pattern, mu = "DS", fwd if ends[0] else fwd[::-1]
+    else:
+        pattern = "DD" if ends[0] else "SS"
+        mu = min(fwd, fwd[::-1], key=lambda seq: json.dumps([x.to_json() for x in seq]))
+    X = t[3] * t[0]
+    vecs = []
+    for value in mu:
+        es = eigenspace(X, value)
+        if es.dim != 1:
+            raise VerificationError("twisted X is not multiplicity-free")
+        vecs.append(es.basis[0])
+    ladder_ends = {"first": vecs[0], "last": vecs[-1]}
 
     def eigenvalue(gen: int, end: str) -> FieldElement:
         try:
@@ -918,7 +861,6 @@ def _recognize_module(t: Sequence[ExactMatrix], q: FieldElement,
     # the base generators act by their k at the first vertex; at the last,
     # t1 and t2 give theirs (DS) or the first base generator's value tells
     # the a-type (the same k) from the b-type
-    pattern = diagram.pattern
     base = XType(pattern if pattern == "DS" else pattern + "a").row.x_base
     k = {i: eigenvalue(i, "first") for i in base}
     if pattern == "DS":
@@ -942,7 +884,7 @@ def _recognize_module(t: Sequence[ExactMatrix], q: FieldElement,
     k = tuple(k[i] for i in range(4))
     if eigenvalue_ladder(xtype, n, k, q) != mu:
         raise VerificationError("twisted ladder does not match the ladder formula")
-    new_t = tuple(restrict_to_basis(t, [vecs[i] for i in order]))
+    new_t = tuple(restrict_to_basis(t, vecs))
     module = HqModule(HqParams(q, n, k), xtype, new_t, mu)
     report = module.relations
     if not report.ok:
@@ -971,9 +913,9 @@ def twist(m: HqModule, which: str) -> HqModule:
         new_t = (m.t[0], m.t_inv[0] * m.t[3] * m.t[0], m.t[1] * m.t[2] * m.t_inv[1], m.t[1])
     else:
         raise ValueError("twist must be 'rho' or 'sigma'")
-    spectrum = sorted(set(_y_diagonal(m)), key=lambda e: e.canonical_str())
     try:
-        return _recognize_module(new_t, m.params.q, spectrum)
+        # both new X's are conjugate to Y, whose ladder runs in index order
+        return _recognize_module(new_t, m.params.q, _y_diagonal(m))
     except VerificationError as err:
         raise VerificationError(f"twist {which}: {err}") from None
 

@@ -335,28 +335,18 @@ def _field_roots(coeffs: Sequence[FieldElement]) -> Optional[list[FieldElement]]
 # ---------------------------------------------------------------------------
 
 
-def _distinct_eigenvalues(m: ExactMatrix, candidates: Optional[Sequence[FieldElement]]
-                          ) -> Optional[tuple[list[FieldElement], list[Vector]]]:
-    """The full multiplicity-free spectrum of ``m`` and an eigenvector for
-    each eigenvalue, or None.
-
-    With candidates given, verifies they are distinct, exhaust the
-    dimension, and each has a 1-dimensional eigenspace.  Without, extracts
-    characteristic-polynomial roots within the field.  One elimination per
-    eigenvalue both proves its eigenspace a line and yields its vector.
+def _distinct_eigenvalues(m: ExactMatrix) -> Optional[tuple[list[FieldElement], list[Vector]]]:
+    """The full multiplicity-free spectrum of ``m``, its characteristic
+    polynomial's roots within the field, and an eigenvector for each
+    eigenvalue, or None.  One elimination per eigenvalue both proves its
+    eigenspace a line and yields its vector.
     """
-    n = m.nrows
-    if candidates is not None:
-        evs = list(candidates)
-        if len(evs) != n or len(set(evs)) != n:
-            return None
-    else:
-        roots = _field_roots(char_poly(m))
-        if roots is None:
-            return None
-        evs = sorted(set(roots), key=lambda e: e.canonical_str())
-        if len(evs) != n:
-            return None
+    roots = _field_roots(char_poly(m))
+    if roots is None:
+        return None
+    evs = sorted(set(roots), key=lambda e: e.canonical_str())
+    if len(evs) != m.nrows:
+        return None
     vecs = []
     for mu in evs:
         es = eigenspace(m, mu)
@@ -425,8 +415,8 @@ def recognize_leonard_pair(
     """
     if not (A.is_square and Astar.is_square and A.shape == Astar.shape):
         raise ValueError("matrices must be square and of equal size")
-    spec = _distinct_eigenvalues(A, None)
-    spec_star = _distinct_eigenvalues(Astar, None)
+    spec = _distinct_eigenvalues(A)
+    spec_star = _distinct_eigenvalues(Astar)
     if spec is None or spec_star is None:
         return None
     # A irreducible tridiagonal in an A*-eigenbasis fixes the theta* order;

@@ -32,7 +32,6 @@ from dahalink.daha import (
     u_basis,
     validate_params,
     verify_hq_relations,
-    x_diagram,
 )
 
 Q2 = QQ.rational(2)
@@ -155,12 +154,21 @@ def _adversarial_k(rng, xtype, n, q):
     return tuple(k)
 
 
+def _bonds(values, q):
+    """The index pairs i < j whose values multiply to 1 (single) and to
+    q^-2 (double)."""
+    pairs = list(itertools.combinations(range(len(values)), 2))
+    prods = {(i, j): values[i] * values[j] for i, j in pairs}
+    return ([p for p in pairs if prods[p] == 1],
+            [p for p in pairs if prods[p] == int_pow(q, -2)])
+
+
 def test_ladder_bonds_alternate_and_fix_the_type_family():
     # eigenvalue_ladder re-checks none of this, as validate_params implies it
     # (the argument is a comment there).  On sampled and on adversarial valid
-    # parameters the values are distinct, the diagram's bonds are exactly the
-    # n ladder steps, double (product q^-2) where _step_is_double says and
-    # single (product 1) elsewhere, and its end bonds give the type's family.
+    # parameters the values are distinct, the bonds are exactly the n ladder
+    # steps, double (product q^-2) where _step_is_double says and single
+    # (product 1) elsewhere, and the end bonds give the type's family.
     from dahalink.daha import _step_is_double
 
     rng = random.Random(17)
@@ -174,39 +182,45 @@ def test_ladder_bonds_alternate_and_fix_the_type_family():
                 for k in [sampled.k] + valid:
                     mu = eigenvalue_ladder(xtype, n, k, q)
                     assert len(set(mu)) == n + 1
-                    d = x_diagram(mu, q)
+                    singles, doubles = _bonds(mu, q)
                     steps = [(r, r + 1) for r in range(n)]
-                    assert sorted(d.double_bonds) == [s for s in steps if _step_is_double(xtype, s[0])]
-                    assert sorted(d.single_bonds) == [s for s in steps if not _step_is_double(xtype, s[0])]
-                    assert d.pattern == xtype.value[:2]
+                    assert doubles == [s for s in steps if _step_is_double(xtype, s[0])]
+                    assert singles == [s for s in steps if not _step_is_double(xtype, s[0])]
+                    if n:
+                        ends = [mu[r] * mu[r + 1] == int_pow(q, -2) for r in (0, n - 1)]
+                        family = "DS" if ends[0] != ends[1] else ("DD" if ends[0] else "SS")
+                        assert family == xtype.value[:2]
+                        assert ends[0] or family != "DS"    # a DS ladder runs from its double end
 
 
-def test_x_diagram_alternating_path():
-    mu = eigenvalue_ladder(*FLAGSHIP, Q2)
-    d = x_diagram(mu, Q2)
-    assert d.pattern == "DD"
-    assert list(d.order) in ([0, 1, 2, 3], [3, 2, 1, 0])
-    # DD ladders: even steps double bonds, odd steps single
-    assert set(d.double_bonds) == {(0, 1), (2, 3)}
-    assert set(d.single_bonds) == {(1, 2)}
-    assert d.loops == ()
+def test_the_y_ladder_is_a_path_in_index_order():
+    # twist reads _y_diagonal(m) as the twisted X's ladder in index order.
+    # Feasibility asks for valid parameters and distinct y_r; on every such
+    # sampled or adversarial draw the bonds are the n steps, double exactly
+    # where (r even) == (0 in y_base), and no other pair bonds.
+    # _y_diagonal reads only the parameters and the type, so no module is built.
+    from types import SimpleNamespace
 
+    from dahalink.daha import _y_diagonal
 
-def test_x_diagram_loop_at_endpoint():
-    # DS with k0 k3 = 1: mu_0 = 1 is a single-bond loop vertex
-    k = K(3, 5, (1, 40), (1, 3))
-    assert validate_params(XType.DS, 2, k, Q2) == []
-    mu = eigenvalue_ladder(XType.DS, 2, k, Q2)
-    d = x_diagram(mu, Q2)
-    assert (0, "single") in d.loops
-    assert d.pattern == "DS"
-
-
-def test_x_diagram_rejects_non_path():
-    # {3, 1/3, 5, 1/5}: single bonds (0,1) and (2,3) only — disconnected
-    vals = [R(3), R(1, 3), R(5), R(1, 5)]
-    with pytest.raises(ValueError):
-        x_diagram(vals, Q2)
+    rng = random.Random(23)
+    checked = set()
+    for q in (Q2, R(3), R(-2), R(1, 2), R(4)):
+        for xtype in XType:
+            for n in range(0 if xtype is XType.DS else 1, 10, 2):
+                draws = [sample_params(rng, xtype, n, q).k]
+                draws += [_adversarial_k(rng, xtype, n, q) for _ in range(20)]
+                for k in draws:
+                    y = _y_diagonal(SimpleNamespace(params=HqParams(q, n, k), xtype=xtype))
+                    if validate_params(xtype, n, k, q) or len(set(y)) != n + 1:
+                        continue
+                    singles, doubles = _bonds(y, q)
+                    steps = [(r, r + 1) for r in range(n)]
+                    double = lambda r: (r % 2 == 0) == (0 in xtype.row.y_base)
+                    assert doubles == [s for s in steps if double(s[0])]
+                    assert singles == [s for s in steps if not double(s[0])]
+                    checked.add((xtype, n))
+    assert len(checked) == 25       # every type at every n
 
 
 # ---------------------------------------------------------------------------
@@ -811,6 +825,38 @@ def test_a_shifted_restricted_diagonal_fails_the_huang_agreement(monkeypatch, ca
         restricted_leonard_pairs(build(1))
 
 
+@pytest.mark.parametrize("plus, half", [(True, "V(k0)"), (False, "V(k0^-1)")])
+def test_a_failed_restricted_certificate_names_its_half(monkeypatch, capsys, tmp_path, plus,
+                                                         half):
+    # theta_1 of one half's restricted A raised by one breaks PA3 there; the
+    # error names that half, and extract still exits 2
+    import dahalink.daha as daha
+    from dahalink.cli import main
+
+    original = daha._band
+    spec = {"xtype": "DDb", "n": 5, "q": 2, "k": [-11, -7, -7, "1/8"]}   # both halves d = 2
+    m = build_module(XType.DDb, 5, K(-11, -7, -7, (1, 8)), Q2)
+    k0 = m.params.k[0] if plus else m.params.k[0].inv()
+
+    def shifted(M, basis, ends, offs, what):
+        out = original(M, basis, ends, offs, what)
+        if offs == (0, 1) and m.t[0].apply(basis[0]) == tuple(k0 * x for x in basis[0]):
+            rows = [list(row) for row in out.rows]
+            rows[1][1] = rows[1][1] + 1
+            out = ExactMatrix(out.ctx, rows)
+        return out
+
+    monkeypatch.setattr(daha, "_band", shifted)
+    message = f"restricted pair on {half}: PA3 fails: phi does not follow from varphi_1"
+    with pytest.raises(ValueError) as err:
+        restricted_leonard_pairs(m)
+    assert str(err.value) == message
+    path = tmp_path / "ddb.json"
+    path.write_text(json.dumps(spec))
+    assert main(["extract", str(path)]) == 2
+    assert json.loads(capsys.readouterr().out)["error"] == message
+
+
 def test_link_construct_raises_when_extraction_does_not_reproduce(monkeypatch):
     import dahalink.daha as daha
 
@@ -854,6 +900,35 @@ def test_rho_twist():
         assert eigenspace(m.Y, mu).dim == 1
 
 
+# the twisted (xtype, k) of each instance; the orientation of the twisted
+# ladder (DS from its double end, DD and SS by serialization) fixes which k
+# the generators give, so these pin it on every type
+TWISTED = {
+    (0, "rho"): (XType.DS, K(5, 7, (1, 840), 3)),
+    (0, "sigma"): (XType.DS, K(3, (1, 840), 7, 5)),
+    (1, "rho"): (XType.DDb, K((1, 3), (1, 7), (1, 5), (1, 4))),
+    (1, "sigma"): (XType.DDa, K((1, 4), (1, 5), (1, 7), (1, 3))),
+    (2, "rho"): (XType.SSb, K((1, 5), 13, (-1, 4), (1, 11))),
+    (2, "sigma"): (XType.SSa, K((1, 11), (-1, 4), 13, (1, 5))),
+    (3, "rho"): (XType.DDa, K((1, 4), (1, 5), (1, 11), (1, 3))),
+    (3, "sigma"): (XType.DDb, K((1, 3), (1, 11), (1, 5), (1, 4))),
+    (4, "rho"): (XType.SSa, K((1, 3), (1, 4), 11, (1, 13))),
+    (4, "sigma"): (XType.SSb, K((1, 13), 11, (1, 4), (1, 3))),
+}
+
+
+@pytest.mark.parametrize("idx, which", sorted(TWISTED))
+def test_twisted_type_and_parameters_of_every_instance(idx, which):
+    from dahalink.daha import _y_diagonal
+
+    m = build(idx)
+    tw = twist(m, which)
+    assert (tw.xtype, tw.params.k) == TWISTED[idx, which]
+    # the twisted ladder is Y's, read in one of its two directions
+    y = _y_diagonal(m)
+    assert list(tw.mu) in (y, y[::-1])
+
+
 @pytest.mark.parametrize("which", ["rho", "sigma"])
 @pytest.mark.parametrize("idx", range(len(INSTANCES)))
 def test_twist_identities_hold_on_every_x_type(monkeypatch, idx, which):
@@ -864,7 +939,7 @@ def test_twist_identities_hold_on_every_x_type(monkeypatch, idx, which):
     seen = []
     original = daha._recognize_module
     monkeypatch.setattr(daha, "_recognize_module",
-                        lambda t, q, spectrum: seen.append(t) or original(t, q, spectrum))
+                        lambda t, q, ladder: seen.append(t) or original(t, q, ladder))
     m = build(idx)
     assert m.feasibility[0]
     tw = twist(m, which)
